@@ -26,13 +26,11 @@ from .arith import ArithFn, from_table, _exactify
 from .cache import ENV_VAR, CacheError, entry_name, load_triangle, save_triangle
 from .concavity import (
     ConcavityReport,
-    c_vertical_check,
     first_failure_table,
     hong_zhang_scan,
     horizontal_check,
     vertical_check,
-    window_top,
-    MAX_WINDOW,
+    window_scan,
 )
 from .partitions import check_no_identity
 from .triangles import (
@@ -259,93 +257,123 @@ def _m_selection(args, default_to) -> tuple[int, int]:
     return lo, hi
 
 
-def cmd_check_horizontal(args) -> int:
-    if args.m is not None or args.m_from is not None or args.m_to is not None:
-        raise ValueError("column selection applies to vertical checks only")
-    tri = build_triangle(parse_g(args.g), args.h, args.n_max)
-    text, code = _render_report(horizontal_check(tri), args.format)
-    _emit(text, args.out)
-    return code
-
-
-def cmd_check_vertical(args) -> int:
-    g = parse_g(args.g)
-    m_from, m_to = _m_selection(args, default_to=args.n_max)
-    limited = m_to if (args.m is not None or args.m_to is not None) else None
-    tri = build_triangle(g, args.h, args.n_max, m_max=limited)
-    report = vertical_check(tri, m_from, m_to)
-    text, code = _render_report(report, args.format)
-    _emit(text, args.out)
-    return code
-
-
-def cmd_check_cscan(args) -> int:
-    g = parse_g(args.g)
-    C = parse_rational(args.C)
-    top = window_top(C, args.m_max)
-    if top > MAX_WINDOW:
-        raise ValueError(
-            f"window floor(C^m_max) = {top} exceeds {MAX_WINDOW}; "
-            "scan fewer columns or a smaller C"
-        )
-    tri = build_triangle(g, args.h, top + 1, m_max=args.m_max)
-    report = c_vertical_check(tri, C, args.m_max, include_m1=args.include_m1)
-    text, code = _render_report(report, args.format)
-    _emit(text, args.out)
-    return code
-
-
-def cmd_check_conversion(args) -> int:
-    text, code = _render_result(check_conversion(parse_g(args.g), args.n_max), args.format)
-    _emit(text, args.out)
-    return code
-
-
-def cmd_check_genfun(args) -> int:
-    xs = parse_xs(args.xs) if args.xs else list(DEFAULT_EVAL_POINTS)
-    res = genfun_crosscheck(parse_g(args.g), args.h, args.n_max, xs)
-    text, code = _render_result(res, args.format)
-    _emit(text, args.out)
-    return code
-
-
-def cmd_check_euler(args) -> int:
-    res = euler_product_crosscheck(parse_g(args.g), args.n_max, parse_rational(args.x))
-    text, code = _render_result(res, args.format)
-    _emit(text, args.out)
-    return code
-
-
-def cmd_check_no_identity(args) -> int:
-    text, code = _render_result(check_no_identity(args.n_max), args.format)
-    _emit(text, args.out)
-    return code
-
-
-def cmd_check_hz(args) -> int:
-    report = hong_zhang_scan(parse_rational(args.C), args.m_max)
-    text, code = _render_report(report, args.format)
-    _emit(text, args.out)
-    return code
-
-
-def cmd_check_table1(args) -> int:
-    firsts = first_failure_table(args.m_max, args.n_limit)
-    if args.format == "json":
+def _render_first_failures(firsts: list, n_limit: int, fmt: str) -> tuple[str, int]:
+    if fmt == "json":
         body = {
             "check": "first-failure-table",
-            "n_limit": args.n_limit,
+            "n_limit": n_limit,
             "first_failures": firsts,
         }
         text = json.dumps(body, indent=2)
     else:
         text = " ".join("none" if v is None else str(v) for v in firsts)
-    _emit(text, args.out)
-    return 0 if all(v is not None for v in firsts) else 1
+    return text, 0 if all(v is not None for v in firsts) else 1
 
 
-def cmd_check_closed_forms(args) -> int:
-    text, code = _render_result(closed_forms_check(args.n_max), args.format)
+def _run_horizontal(args) -> ConcavityReport:
+    if args.m is not None or args.m_from is not None or args.m_to is not None:
+        raise ValueError("column selection applies to vertical checks only")
+    return horizontal_check(build_triangle(parse_g(args.g), args.h, args.n_max))
+
+
+def _run_vertical(args) -> ConcavityReport:
+    g = parse_g(args.g)
+    m_from, m_to = _m_selection(args, default_to=args.n_max)
+    limited = m_to if (args.m is not None or args.m_to is not None) else None
+    tri = build_triangle(g, args.h, args.n_max, m_max=limited)
+    return vertical_check(tri, m_from, m_to)
+
+
+def _run_genfun(args) -> CheckResult:
+    xs = parse_xs(args.xs) if args.xs else list(DEFAULT_EVAL_POINTS)
+    return genfun_crosscheck(parse_g(args.g), args.h, args.n_max, xs)
+
+
+# option name -> add_argument("--" + name, **spec)
+_OPTIONS = {
+    "g": {"required": True, "metavar": G_CHOICES, "help": "arithmetic function"},
+    "h": {"required": True, "choices": ["one", "id"], "help": "weight family"},
+    "n-max": {"type": int, "required": True},
+    "m": {"type": int, "help": "single column"},
+    "m-from": {"type": int},
+    "m-to": {"type": int},
+    "C": {"required": True, "metavar": "P/Q"},
+    "m-max": {"type": int, "required": True},
+    "include-m1": {"action": "store_true"},
+    "xs": {"metavar": "LIST", "help": "comma-separated rationals"},
+    "x": {"required": True, "metavar": "P/Q"},
+    "n-limit": {"type": int, "default": 1500},
+}
+
+# check name -> (help, options in parser order, runner returning a result).
+# An option is a name in _OPTIONS or a (name, spec) pair.  Runners look
+# library functions up at call time, so rebinding a name in this module (as
+# a profiler does) reaches them.
+CHECKS = {
+    "horizontal": (
+        "row log-concavity",
+        # --m/--m-from/--m-to are accepted only to be rejected
+        ("g", "h", "n-max", ("m", {"type": int}), "m-from", "m-to"),
+        _run_horizontal,
+    ),
+    "vertical": (
+        "column log-concavity",
+        ("g", "h", "n-max", "m", "m-from", "m-to"),
+        _run_vertical,
+    ),
+    "cscan": (
+        "column log-concavity restricted to windows n <= C^m",
+        ("g", "h", "C", "m-max", "include-m1"),
+        lambda a: window_scan(
+            parse_g(a.g), a.h, parse_rational(a.C), a.m_max, include_m1=a.include_m1
+        ),
+    ),
+    "conversion": (
+        "exponential vs geometric family bridge",
+        ("g", "n-max"),
+        lambda a: check_conversion(parse_g(a.g), a.n_max),
+    ),
+    "genfun": (
+        "triangle rows vs generating series at sample points",
+        ("g", "h", "n-max", "xs"),
+        _run_genfun,
+    ),
+    "euler": (
+        "triangle rows vs Euler product",
+        ("g", "n-max", "x"),
+        lambda a: euler_product_crosscheck(parse_g(a.g), a.n_max, parse_rational(a.x)),
+    ),
+    "no-identity": (
+        "hook-length polynomials vs shifted divisor-sum rows",
+        ("n-max",),
+        lambda a: check_no_identity(a.n_max),
+    ),
+    "hz": (
+        "windowed scan of divisor-sum series power coefficients",
+        ("C", "m-max"),
+        lambda a: hong_zhang_scan(parse_rational(a.C), a.m_max),
+    ),
+    "table1": (
+        "first failing center per column of the (one, id) family",
+        ("m-max", "n-limit"),
+        lambda a: first_failure_table(a.m_max, a.n_limit),
+    ),
+    "closed-forms": (
+        "six classic families vs their closed forms",
+        ("n-max",),
+        lambda a: closed_forms_check(a.n_max),
+    ),
+}
+
+
+def cmd_check(args) -> int:
+    result = CHECKS[args.what][2](args)
+    if isinstance(result, ConcavityReport):
+        text, code = _render_report(result, args.format)
+    elif isinstance(result, CheckResult):
+        text, code = _render_result(result, args.format)
+    else:
+        text, code = _render_first_failures(result, args.n_limit, args.format)
     _emit(text, args.out)
     return code
 
@@ -361,18 +389,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_g(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--g", required=True, metavar=G_CHOICES, help="arithmetic function")
-
-
-def _add_h(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--h", required=True, choices=["one", "id"], help="weight family")
-
-
-def _add_check_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lclab",
@@ -382,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     tri = sub.add_parser("triangle", help="build and print a coefficient triangle")
-    _add_g(tri)
-    _add_h(tri)
+    tri.add_argument("--g", **_OPTIONS["g"])
+    tri.add_argument("--h", **_OPTIONS["h"])
     tri.add_argument("--n", type=int, required=True, help="last row to build")
     tri.add_argument("--format", choices=["table", "json", "csv"], default="table")
     tri.add_argument("--cache", metavar="DIR", help=f"cache directory (env {ENV_VAR} wins)")
@@ -394,73 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run a verification or scan")
     what = check.add_subparsers(dest="what", required=True)
-
-    def check_parser(name, func, help_text):
+    for name, (help_text, options, _) in CHECKS.items():
         p = what.add_parser(name, help=help_text)
-        _add_check_format(p)
+        p.add_argument("--format", choices=["text", "json"], default="text")
         _add_common(p)
-        p.set_defaults(func=func)
-        return p
-
-    p = check_parser("horizontal", cmd_check_horizontal, "row log-concavity")
-    _add_g(p)
-    _add_h(p)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--m-from", type=int)
-    p.add_argument("--m-to", type=int)
-
-    p = check_parser("vertical", cmd_check_vertical, "column log-concavity")
-    _add_g(p)
-    _add_h(p)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--m", type=int, help="single column")
-    p.add_argument("--m-from", type=int)
-    p.add_argument("--m-to", type=int)
-
-    p = check_parser("cscan", cmd_check_cscan,
-                     "column log-concavity restricted to windows n <= C^m")
-    _add_g(p)
-    _add_h(p)
-    p.add_argument("--C", required=True, metavar="P/Q")
-    p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--include-m1", action="store_true")
-
-    p = check_parser("conversion", cmd_check_conversion,
-                     "exponential vs geometric family bridge")
-    _add_g(p)
-    p.add_argument("--n-max", type=int, required=True)
-
-    p = check_parser("genfun", cmd_check_genfun,
-                     "triangle rows vs generating series at sample points")
-    _add_g(p)
-    _add_h(p)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--xs", metavar="LIST", help="comma-separated rationals")
-
-    p = check_parser("euler", cmd_check_euler, "triangle rows vs Euler product")
-    _add_g(p)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--x", required=True, metavar="P/Q")
-
-    p = check_parser("no-identity", cmd_check_no_identity,
-                     "hook-length polynomials vs shifted divisor-sum rows")
-    p.add_argument("--n-max", type=int, required=True)
-
-    p = check_parser("hz", cmd_check_hz,
-                     "windowed scan of divisor-sum series power coefficients")
-    p.add_argument("--C", required=True, metavar="P/Q")
-    p.add_argument("--m-max", type=int, required=True)
-
-    p = check_parser("table1", cmd_check_table1,
-                     "first failing center per column of the (one, id) family")
-    p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--n-limit", type=int, default=1500)
-
-    p = check_parser("closed-forms", cmd_check_closed_forms,
-                     "six classic families vs their closed forms")
-    p.add_argument("--n-max", type=int, required=True)
-
+        p.set_defaults(func=cmd_check)
+        for option in options:
+            flag, spec = option if isinstance(option, tuple) else (option, _OPTIONS[option])
+            p.add_argument(f"--{flag}", **spec)
     return parser
 
 

@@ -8,14 +8,19 @@ at fixed m, and windowed vertical checks restrict the centers to
 (the window bounds which centers are tested, it does not zero out the
 column past its edge).
 
-Column comparisons never leave integers: with row scale L_n the inequality
-A(n, m)^2 >= A(n-1, m) A(n+1, m) is equivalent to
+Every scan runs through one kernel, _scan, on a plain list: a zero-padded
+row, or a column read once from the triangle or from the Stirling column
+table.  Comparisons never leave the stored entries.  With row scale L_n
+the column inequality A(n, m)^2 >= A(n-1, m) A(n+1, m) is equivalent to
 
     L_(n-1) L_(n+1) B_n^2 >= L_n^2 B_(n-1) B_(n+1),
 
-and the scale ratio collapses to (n+1) vs n when h = id and to 1 when
-h = one.  The same cross-multiplied form powers the first-failure tables
-computed from Stirling columns, where S(n, m)/n! is the column entry.
+so the kernel's `weighted` flag (entry n carries the scale n!, as in an
+h = id column or a Stirling column S(n, m) = n! A(n, m)) compares
+(n+1) B_n^2 against n B_(n-1) B_(n+1); unset (rows, and h = one columns)
+all entries share one scale and the plain squares are compared.  The
+kernel rejects negative entries with a ValueError naming the entry's
+(n, m), since log-concavity is not defined for them.
 
 The conjecture-style scan over the divisor-sum coefficients b_(m, n) of
 f(q)^m, with f the weight-normalized divisor-sum series, runs on the
@@ -71,37 +76,68 @@ class ConcavityReport:
         }
 
 
+def _scan(vals: list, at, weighted: bool = False):
+    """The one log-concavity comparison behind every scan.
+
+    Yields (at(i), failed) for each center 1 <= i <= len(vals) - 2 where
+    vals[i]^2 < vals[i-1] vals[i+1] (failed) or where the two sides are
+    equal between nonzero neighbors (not failed).  at(i) names entry i,
+    (n, m) for a triangle cell.  With weighted set, entry i carries the
+    scale i!, so the sides compare as (i+1) b_i^2 against
+    i b_(i-1) b_(i+1); unset, all entries share one scale.  A negative
+    entry raises ValueError naming its position.
+    """
+    for i, v in enumerate(vals):
+        if v < 0:
+            raise ValueError(
+                f"log-concavity check needs nonnegative entries, but entry {at(i)} is negative"
+            )
+    for i in range(1, len(vals) - 1):
+        left, center, right = vals[i - 1], vals[i], vals[i + 1]
+        lhs = center * center
+        rhs = left * right
+        if weighted:
+            lhs *= i + 1
+            rhs *= i
+        if lhs < rhs:
+            yield at(i), True
+        elif lhs == rhs and left and right:
+            yield at(i), False
+
+
+def _column(tri: Triangle, m: int, reach: int):
+    """_scan over column m of tri at centers 1..reach; row n carries the
+    scale n! when h = id."""
+    col = [tri.scaled(n, m) for n in range(reach + 2)]
+    return _scan(col, lambda n: (n, m), weighted=tri.h == "id")
+
+
+def _stirling_column(table: StirlingColumnTable, m: int, reach: int):
+    """_scan over the Stirling column S(n, m) = n! A(n, m) of the (one, id)
+    family at centers 1..reach."""
+    return _scan([table.value(n, m) for n in range(reach + 2)], lambda n: n, weighted=True)
+
+
+def _collect(report: ConcavityReport, hits, edge: int | None = None) -> None:
+    """File _scan's hits into report; failures at row `edge` also go to
+    the boundary list."""
+    for cell, failed in hits:
+        if not failed:
+            report.equalities.append(cell)
+            continue
+        report.failures.append(cell)
+        if cell[0] == edge:
+            report.boundary.append(cell)
+
+
 def is_logconcave(seq) -> int | None:
     """First index where a_i^2 < a_(i-1) a_(i+1), or None if log-concave.
 
     The sequence is zero-extended on both sides.  Negative entries make
     the notion meaningless here, so they raise.
     """
-    vals = list(seq)
-    for v in vals:
-        if v < 0:
-            raise ValueError("log-concavity check needs nonnegative entries")
-    for i, v in enumerate(vals):
-        left = vals[i - 1] if i > 0 else 0
-        right = vals[i + 1] if i + 1 < len(vals) else 0
-        if v * v < left * right:
-            return i
-    return None
-
-
-def _triple_sign(tri: Triangle, n: int, m: int) -> int:
-    """Sign of A(n,m)^2 - A(n-1,m) A(n+1,m), cross-multiplied on scaled
-    entries (exact for Fraction-valued triangles too)."""
-    b0 = tri.scaled(n, m)
-    bl = tri.scaled(n - 1, m)
-    br = tri.scaled(n + 1, m)
-    if tri.h == "id":
-        lhs = (n + 1) * b0 * b0
-        rhs = n * bl * br
-    else:
-        lhs = b0 * b0
-        rhs = bl * br
-    return (lhs > rhs) - (lhs < rhs)
+    hits = _scan([0, *seq, 0], lambda i: i - 1)
+    return next((i for i, failed in hits if failed), None)
 
 
 def horizontal_check(tri: Triangle, n_from: int = 1, n_to: int | None = None) -> ConcavityReport:
@@ -113,16 +149,7 @@ def horizontal_check(tri: Triangle, n_from: int = 1, n_to: int | None = None) ->
         "horizontal", tri.g.label, tri.h, (n_from, n_to), (1, n_to)
     )
     for n in range(max(n_from, 1), n_to + 1):
-        row = tri.row_scaled(n)
-        for i, v in enumerate(row):
-            left = row[i - 1] if i > 0 else 0
-            right = row[i + 1] if i + 1 < len(row) else 0
-            lhs = v * v
-            rhs = left * right
-            if lhs < rhs:
-                report.failures.append((n, i + 1))
-            elif lhs == rhs and rhs != 0:
-                report.equalities.append((n, i + 1))
+        _collect(report, _scan([0, *tri.row_scaled(n), 0], lambda m: (n, m)))
     return report
 
 
@@ -149,22 +176,14 @@ def vertical_check(
         clipped=requested > n_cap,
     )
     for m in range(m_from, m_to + 1):
-        for n in range(1, n_top + 1):
-            sign = _triple_sign(tri, n, m)
-            if sign < 0:
-                report.failures.append((n, m))
-            elif sign == 0 and tri.scaled(n - 1, m) and tri.scaled(n + 1, m):
-                report.equalities.append((n, m))
+        _collect(report, _column(tri, m, n_top))
     return report
 
 
 def first_vertical_failure(tri: Triangle, m: int, n_limit: int | None = None) -> int | None:
     """Smallest failing center of column m, or None within the range."""
     n_top = tri.n_max - 1 if n_limit is None else min(n_limit, tri.n_max - 1)
-    for n in range(1, n_top + 1):
-        if _triple_sign(tri, n, m) < 0:
-            return n
-    return None
+    return next((n for (n, _), failed in _column(tri, m, n_top) if failed), None)
 
 
 def window_top(C: Fraction, m: int) -> int:
@@ -204,15 +223,34 @@ def c_vertical_check(
         reach = min(top, tri.n_max - 1)
         if reach < top:
             report.clipped = True
-        for n in range(1, reach + 1):
-            sign = _triple_sign(tri, n, m)
-            if sign < 0:
-                report.failures.append((n, m))
-                if n == top:
-                    report.boundary.append((n, m))
-            elif sign == 0 and tri.scaled(n - 1, m) and tri.scaled(n + 1, m):
-                report.equalities.append((n, m))
+        _collect(report, _column(tri, m, reach), edge=top)
     return report
+
+
+MAX_WINDOW = 4096
+
+
+def window_scan(
+    g: ArithFn, h: str, C, m_max: int, *,
+    include_m1: bool = False, m_built: int | None = None,
+) -> ConcavityReport:
+    """c_vertical_check on the family (g, h), built just far enough.
+
+    The window for the last column fixes the build: rows up to
+    floor(C^m_max) + 1 and columns up to m_built (default m_max).
+    Anything past MAX_WINDOW is refused because the quadratic build cost
+    would run away.
+    """
+    C = Fraction(C)
+    top = window_top(C, m_max)
+    if top > MAX_WINDOW:
+        raise ValueError(
+            f"window floor(C^m_max) = {top} exceeds {MAX_WINDOW}; "
+            "scan fewer columns or a smaller C"
+        )
+    m_built = m_max if m_built is None else m_built
+    tri = build_triangle(g, h, top + 1, m_max=m_built)
+    return c_vertical_check(tri, C, m_max, include_m1=include_m1)
 
 
 def stirling_column_first_failure(
@@ -228,13 +266,7 @@ def stirling_column_first_failure(
         table = StirlingColumnTable(m, n_limit + 1)
     if table.n_max < n_limit + 1 or table.m_max < m:
         raise ValueError("table too small for the requested scan")
-    for n in range(1, n_limit + 1):
-        s0 = table.value(n, m)
-        sl = table.value(n - 1, m)
-        sr = table.value(n + 1, m)
-        if (n + 1) * s0 * s0 < n * sl * sr:
-            return n
-    return None
+    return next((n for n, failed in _stirling_column(table, m, n_limit) if failed), None)
 
 
 def first_failure_table(m_max: int, n_limit: int = 1500) -> list[int | None]:
@@ -251,15 +283,8 @@ def first_failure_table(m_max: int, n_limit: int = 1500) -> list[int | None]:
 
 def stirling_column_failures(m: int, n_to: int) -> list[int]:
     """All failing centers n <= n_to of the (one, id) column m."""
-    table = StirlingColumnTable(m, n_to + 1)
-    out = []
-    for n in range(1, n_to + 1):
-        s0 = table.value(n, m)
-        sl = table.value(n - 1, m)
-        sr = table.value(n + 1, m)
-        if (n + 1) * s0 * s0 < n * sl * sr:
-            out.append(n)
-    return out
+    hits = _stirling_column(StirlingColumnTable(m, n_to + 1), m, n_to)
+    return [n for n, failed in hits if failed]
 
 
 def hong_zhang_coefficients(m: int, n_max: int) -> list[Fraction]:
@@ -299,27 +324,17 @@ def hz_equivalence_check(m_max: int, n_max: int) -> CheckResult:
     )
 
 
-MAX_WINDOW = 4096
-
-
 def hong_zhang_scan(C, m_max: int, *, include_m1: bool = False) -> ConcavityReport:
     """Windowed vertical scan of the divisor-sum coefficients b_(m, n).
 
     Column m is tested at centers n <= floor(C^m).  b_(m, n) is m! times
     the (sigma, id) triangle column, and the m! cancels from both sides of
-    each comparison, so the scan runs on a column-limited integer build.
-    The window for the last column fixes the build size; anything past
-    MAX_WINDOW is refused because the quadratic build cost would run away.
+    each comparison, so the scan runs on a column-limited integer build
+    (window_scan, which also enforces MAX_WINDOW).
     """
-    C = Fraction(C)
-    top = window_top(C, m_max)
-    if top > MAX_WINDOW:
-        raise ValueError(
-            f"window floor(C^m_max) = {top} exceeds {MAX_WINDOW}; "
-            "scan fewer columns or a smaller C"
-        )
-    tri = build_triangle(sigma(), "id", top + 1, m_max=max(m_max, 1))
-    report = c_vertical_check(tri, C, m_max, include_m1=include_m1)
+    report = window_scan(
+        sigma(), "id", C, m_max, include_m1=include_m1, m_built=max(m_max, 1)
+    )
     report.mode = "hong-zhang"
     report.params["coefficients"] = "divisor-sum series powers"
     return report

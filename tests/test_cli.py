@@ -278,3 +278,15 @@ def test_jobs_flag_accepted(capsys):
     )
     assert code == 0
     assert out.strip() == "2 5 17"
+
+
+@pytest.mark.parametrize("scan", ["horizontal", "vertical"])
+def test_check_rejects_negative_entries(scan, tmp_path, capsys):
+    table = tmp_path / "neg.txt"
+    table.write_text("1\n-5\n2\n3\n1\n")
+    code, out, err = run(
+        capsys, "check", scan, "--g", f"custom={table}", "--h", "id", "--n-max", "5"
+    )
+    assert code == 2
+    assert out == ""
+    assert "(2, 1) is negative" in err

@@ -200,3 +200,80 @@ def test_zero_extension_never_flags_edges(body):
         assert padded is None
     else:
         assert padded == base + 2
+
+
+def _oracle_hits(tri, cells):
+    """Failures and equalities over (center, left, right) cell triples,
+    compared on the exact values tri.value(n, m), which are zero outside
+    the triangle."""
+    failures, equalities = [], []
+    for cell, left_cell, right_cell in cells:
+        center, left, right = tri.value(*cell), tri.value(*left_cell), tri.value(*right_cell)
+        if center * center < left * right:
+            failures.append(cell)
+        elif center * center == left * right and left and right:
+            equalities.append(cell)
+    return failures, equalities
+
+
+g_tables = st.lists(st.integers(min_value=0, max_value=30), max_size=11).map(
+    lambda rest: [1] + rest
+)
+
+
+@given(g_tables, st.sampled_from(["one", "id"]))
+def test_kernel_matches_value_oracle(values, h):
+    tri = build_triangle(arith.from_table(values), h, len(values))
+    n_max = tri.n_max
+
+    row_cells = [
+        ((n, m), (n, m - 1), (n, m + 1)) for n in range(1, n_max + 1) for m in range(1, n + 1)
+    ]
+    report = horizontal_check(tri)
+    assert (report.failures, report.equalities) == _oracle_hits(tri, row_cells)
+
+    col_cells = [
+        ((n, m), (n - 1, m), (n + 1, m)) for m in range(1, n_max + 1) for n in range(1, n_max)
+    ]
+    report = vertical_check(tri)
+    assert (report.failures, report.equalities) == _oracle_hits(tri, col_cells)
+
+
+@given(
+    g_tables,
+    st.sampled_from(["one", "id"]),
+    st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=3),
+    st.booleans(),
+)
+def test_windowed_kernel_matches_value_oracle(values, h, C, include_m1):
+    tri = build_triangle(arith.from_table(values), h, len(values))
+    m_to = min(tri.n_max, 4)
+    report = c_vertical_check(tri, C, m_to, include_m1=include_m1)
+    cells = [
+        ((n, m), (n - 1, m), (n + 1, m))
+        for m in range(1 if include_m1 else 2, m_to + 1)
+        for n in range(1, min(window_top(C, m), tri.n_max - 1) + 1)
+    ]
+    assert (report.failures, report.equalities) == _oracle_hits(tri, cells)
+    assert report.boundary == [(n, m) for n, m in report.failures if n == window_top(C, m)]
+
+
+def test_stirling_failures_match_triangle_scan():
+    tri = build_triangle(arith.one(), "id", 61)
+    for m in range(1, 6):
+        assert vertical_check(tri, m, m).failures == [
+            (n, m) for n in stirling_column_failures(m, 60)
+        ]
+
+
+def test_scans_reject_negative_entries():
+    # row 2 of (g, id) holds g(2) (n-1)!/(n-2)! = -5 at m = 1
+    for values in ([1, -5, 2, 3, 1], [1, Fraction(-5, 3), 2]):
+        tri = build_triangle(arith.from_table(values), "id", len(values))
+        scans = (horizontal_check, vertical_check, lambda t: c_vertical_check(t, 2, 2, include_m1=True))
+        for scan in scans:
+            with pytest.raises(ValueError, match=r"entry \(2, 1\) is negative"):
+                scan(tri)
+    with pytest.raises(ValueError, match="entry 1 is negative"):
+        is_logconcave([1, -2, 1])
+
