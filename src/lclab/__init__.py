@@ -4,7 +4,7 @@ defined by arithmetic-function recursions, and for their log-concavity.
 The pieces: arithmetic functions and sieves (arith), truncated power
 series (series), the coefficient triangles themselves plus their
 generating-series and closed-form crosschecks (triangles), integer
-partitions and hook-length polynomials (partitions), Stirling columns and
+partitions and hook-length polynomials (partitions), Stirling numbers and
 the harmonic discriminant (stirling), row/column/windowed log-concavity
 scans (concavity), an on-disk triangle cache (cache), and the lclab
 command line (cli).
@@ -48,7 +48,6 @@ from .partitions import (
 )
 from .series import Series, eichler_integral, euler_product
 from .stirling import (
-    StirlingColumnTable,
     delta,
     harmonic_column_identity,
     sibuya_strict_check,

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import arith
 from .arith import ArithFn, from_table, _exactify
-from .cache import ENV_VAR, CacheError, entry_name, load_triangle, save_triangle
+from .cache import ENV_VAR, CacheError, load_triangle, save_triangle
 from .concavity import (
     ConcavityReport,
     first_failure_table,
@@ -181,12 +181,10 @@ def cmd_triangle(args) -> int:
             tri = load_triangle(cache_dir, g, args.h, args.n)
         except CacheError as exc:
             print(f"lclab: warning: rebuilding, cache entry unusable: {exc}", file=sys.stderr)
-    built = tri is None
     if tri is None:
         tri = build_triangle(g, args.h, args.n)
-    if cache_dir and built:
-        target = Path(cache_dir) / entry_name(g.key, args.h, args.n)
-        if not target.exists():
+        if cache_dir:
+            # also atomically replaces an exact entry that failed to load
             save_triangle(cache_dir, tri)
     _emit(format_triangle(tri, args.format, args.scaled), args.out)
     return 0

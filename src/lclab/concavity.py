@@ -9,18 +9,22 @@ at fixed m, and windowed vertical checks restrict the centers to
 column past its edge).
 
 Every scan runs through one kernel, _scan, on a plain list: a zero-padded
-row, or a column read once from the triangle or from the Stirling column
-table.  Comparisons never leave the stored entries.  With row scale L_n
-the column inequality A(n, m)^2 >= A(n-1, m) A(n+1, m) is equivalent to
+row, or a column read once from the triangle.  Comparisons never leave
+the stored entries.  With row scale L_n the column inequality
+A(n, m)^2 >= A(n-1, m) A(n+1, m) is equivalent to
 
     L_(n-1) L_(n+1) B_n^2 >= L_n^2 B_(n-1) B_(n+1),
 
-so the kernel's `weighted` flag (entry n carries the scale n!, as in an
-h = id column or a Stirling column S(n, m) = n! A(n, m)) compares
-(n+1) B_n^2 against n B_(n-1) B_(n+1); unset (rows, and h = one columns)
-all entries share one scale and the plain squares are compared.  The
-kernel rejects negative entries with a ValueError naming the entry's
-(n, m), since log-concavity is not defined for them.
+so the kernel's `weighted` flag (entry n carries the scale n!, as in any
+h = id column) compares (n+1) B_n^2 against n B_(n-1) B_(n+1); unset
+(rows, and h = one columns) all entries share one scale and the plain
+squares are compared.  The kernel rejects negative entries with a
+ValueError naming the entry's (n, m), since log-concavity is not defined
+for them.
+
+The Stirling column scans behind Table 1 are column scans of the (one, id)
+triangle, whose stored column m is S(n, m) = n! A(n, m); build_triangle
+fills it by the Stirling rule, so it needs no table of its own.
 
 The conjecture-style scan over the divisor-sum coefficients b_(m, n) of
 f(q)^m, with f the weight-normalized divisor-sum series, runs on the
@@ -33,9 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import ArithFn, sigma, tilde
+from .arith import ArithFn, one, sigma, tilde
 from .series import eichler_integral
-from .stirling import StirlingColumnTable
 from .triangles import CheckResult, Triangle, build_triangle
 
 
@@ -110,12 +113,6 @@ def _column(tri: Triangle, m: int, reach: int):
     scale n! when h = id."""
     col = [tri.scaled(n, m) for n in range(reach + 2)]
     return _scan(col, lambda n: (n, m), weighted=tri.h == "id")
-
-
-def _stirling_column(table: StirlingColumnTable, m: int, reach: int):
-    """_scan over the Stirling column S(n, m) = n! A(n, m) of the (one, id)
-    family at centers 1..reach."""
-    return _scan([table.value(n, m) for n in range(reach + 2)], lambda n: n, weighted=True)
 
 
 def _collect(report: ConcavityReport, hits, edge: int | None = None) -> None:
@@ -253,38 +250,31 @@ def window_scan(
     return c_vertical_check(tri, C, m_max, include_m1=include_m1)
 
 
-def stirling_column_first_failure(
-    m: int, n_limit: int, table: StirlingColumnTable | None = None
-) -> int | None:
+def stirling_column_first_failure(m: int, n_limit: int) -> int | None:
     """First center where the (one, id) column m fails, via Stirling numbers.
 
     The column entry is S(n, m)/n!, so failure at center n is exactly
     (n+1) S(n, m)^2 < n S(n-1, m) S(n+1, m).  Returns None when the whole
     range 1..n_limit passes.
     """
-    if table is None:
-        table = StirlingColumnTable(m, n_limit + 1)
-    if table.n_max < n_limit + 1 or table.m_max < m:
-        raise ValueError("table too small for the requested scan")
-    return next((n for n, failed in _stirling_column(table, m, n_limit) if failed), None)
+    tri = build_triangle(one(), "id", n_limit + 1, m_max=m)
+    return first_vertical_failure(tri, m, n_limit)
 
 
 def first_failure_table(m_max: int, n_limit: int = 1500) -> list[int | None]:
     """First failing center of the (one, id) columns m = 1..m_max.
 
-    One shared column table feeds all the scans, so the cost is one
-    O(n_limit * m_max) fill plus the comparisons.
+    One column-limited build feeds all the scans, so the cost is one
+    O(n_limit * m_max) Stirling-rule fill plus the comparisons.
     """
-    table = StirlingColumnTable(m_max, n_limit + 1)
-    return [
-        stirling_column_first_failure(m, n_limit, table) for m in range(1, m_max + 1)
-    ]
+    tri = build_triangle(one(), "id", n_limit + 1, m_max=m_max)
+    return [first_vertical_failure(tri, m, n_limit) for m in range(1, m_max + 1)]
 
 
 def stirling_column_failures(m: int, n_to: int) -> list[int]:
     """All failing centers n <= n_to of the (one, id) column m."""
-    hits = _stirling_column(StirlingColumnTable(m, n_to + 1), m, n_to)
-    return [n for n, failed in hits if failed]
+    hits = _column(build_triangle(one(), "id", n_to + 1, m_max=m), m, n_to)
+    return [n for (n, _), failed in hits if failed]
 
 
 def hong_zhang_coefficients(m: int, n_max: int) -> list[Fraction]:

@@ -5,11 +5,12 @@ S(n, m) = (n-1) S(n-1, m) + S(n-1, m-1) with S(0, 0) = 1.  The first two
 columns have closed forms in factorials and harmonic numbers:
 S(n, 1) = (n-1)! and S(n, 2) = (n-1)! H(n-1).
 
-The column table keeps only the first m_max columns, so scans along a
-column to large n never materialize whole rows.  delta(n) is the harmonic
-expression whose sign decides whether the normalized m = 2 column is
-log-concave at center n; it is computed by two independent formulas that
-are checked against each other on every call.
+These are the independent closed-form oracle for the (one, id) triangle,
+whose stored entries are S(n, m) = n! A(n, m); column scans to large n
+run on that triangle (concavity.first_failure_table), not on a table kept
+here.  delta(n) is the harmonic expression whose sign decides whether the
+normalized m = 2 column is log-concave at center n; it is computed by two
+independent formulas that are checked against each other on every call.
 """
 
 from __future__ import annotations
@@ -44,31 +45,6 @@ def stirling_first(n: int, m: int) -> int:
     if m < 0 or m > n:
         return 0
     return stirling_row(n)[m]
-
-
-class StirlingColumnTable:
-    """Columns m <= m_max of S(n, m) for all n <= n_max."""
-
-    def __init__(self, m_max: int, n_max: int):
-        if m_max < 1 or n_max < 0:
-            raise ValueError("need m_max >= 1 and n_max >= 0")
-        self.m_max = m_max
-        self.n_max = n_max
-        rows = [[1] + [0] * m_max]
-        for n in range(1, n_max + 1):
-            prev = rows[-1]
-            cur = [0] * (m_max + 1)
-            for m in range(1, m_max + 1):
-                cur[m] = (n - 1) * prev[m] + prev[m - 1]
-            rows.append(cur)
-        self._rows = rows
-
-    def value(self, n: int, m: int) -> int:
-        if not 0 <= m <= self.m_max:
-            raise ValueError(f"column {m} not kept (m_max = {self.m_max})")
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"row {n} outside table (n_max = {self.n_max})")
-        return self._rows[n][m]
 
 
 def sibuya_strict_check(n: int) -> bool:

@@ -8,16 +8,20 @@ constant 1 or the identity, the family P_0 = 1,
 has P_n(x) = sum over m = 1..n of A(n, m) x^m.  The triangle of the A(n, m)
 is what everything else in this package consumes.
 
-Rows are stored integer-scaled: the entry kept for (n, m) is L_n * A(n, m)
-with L_n = product of h(k) for k <= n (so n! when h = id, 1 when h = one).
-In the scaled form the recursion is division-free,
+Rows are stored integer-scaled: the entry kept for (n, m) is
+B(n, m) = L_n * A(n, m) with L_n = product of h(k) for k <= n (so n! when
+h = id, 1 when h = one).  In the scaled form the recursion is
+division-free, and build_triangle evaluates it in Horner form over the
+rows j = m-1 .. n-1 of column m-1,
 
-    B(n, m) = sum over k of g(k) * w(n, k) * B(n-k, m-1),
-    w(n, k) = (n-1)! / (n-k)!   (falling factorial; all ones when h = one),
+    acc <- acc * h(j) + g(n-j) * B(j, m-1),    B(n, m) = final acc,
 
-which keeps every entry an integer whenever g is integer-valued and makes
-the big builds pure bigint arithmetic.  Exact rational values are recovered
-on demand by dividing by L_n.
+so every product has one small operand (h(j) or a value of g) and the
+row scale is never stored.  When every value of g is 1, the steps before
+j = n-1 sum to B(n-1, m), so the loop starts there: that is the Stirling
+rule B(n, m) = (n-1) B(n-1, m) + B(n-1, m-1) for h = id and Pascal's
+rule for h = one.  Exact rational values are recovered on demand by
+dividing by L_n.
 
 Two independent generating-function routes reproduce the same rows:
 exp(x E(T)) when h = id and 1 / (1 - x G(T)) when h = one, with E and G the
@@ -109,17 +113,10 @@ class Triangle:
         self.m_max = m_max
         self._rows = rows
         self.n_max = len(rows) - 1
-        if h == "id":
-            scales = [1] * (self.n_max + 1)
-            for n in range(1, self.n_max + 1):
-                scales[n] = scales[n - 1] * n
-            self._scales = scales
-        else:
-            self._scales = None
 
     def scale(self, n: int) -> int:
         """L_n, the common denominator of row n."""
-        return self._scales[n] if self._scales is not None else 1
+        return math.factorial(n) if self.h == "id" else 1
 
     def _m_top(self, n: int) -> int:
         return n if self.m_max is None else min(n, self.m_max)
@@ -176,7 +173,7 @@ def build_triangle(g: ArithFn, h: str, n_max: int, m_max: int | None = None) -> 
         m_max: keep only columns m <= m_max (scans along a few columns do
             not need whole rows).  None builds full rows.
 
-    The inner loop is the hot path of the whole package; it works on the
+    The Horner loop is the hot path of the whole package; it works on the
     scaled entries only, so for integer g it never leaves bigint land.
     """
     if h not in _H_KINDS:
@@ -186,28 +183,28 @@ def build_triangle(g: ArithFn, h: str, n_max: int, m_max: int | None = None) -> 
     if m_max is not None and m_max < 1:
         raise ValueError("m_max must be >= 1 when given")
     gvals = g.values(n_max) if n_max >= 1 else [0]
-    rows: list[list] = [[1]]
+    ones = all(v == 1 for v in gvals[1:])
     weighted = h == "id"
+    rows: list[list] = [[1]]
+    lead = 1  # L_(n-1); B(n, 1) = g(n) L_(n-1), the one term on the n = 0 seed
     for n in range(1, n_max + 1):
-        # w[k] = (n-1)!/(n-k)!, built incrementally; all ones for h = one
-        gw = [0] * (n + 1)
-        w = 1
-        for k in range(1, n + 1):
-            gw[k] = gvals[k] * w
-            if weighted:
-                w *= n - k
         m_top = n if m_max is None else min(n, m_max)
-        row = [0] * m_top
-        # m = 1 keeps only the k = n term (it multiplies the n = 0 seed)
-        row[0] = gw[n]
+        row = [gvals[n] * lead]
         for m in range(2, m_top + 1):
-            acc = 0
-            for k in range(1, n - m + 2):
-                prev = rows[n - k][m - 2]
+            if ones:  # the steps j < n-1 add up to B(n-1, m)
+                start, acc = n - 1, rows[n - 1][m - 1] if m < n else 0
+            else:
+                start, acc = m - 1, 0
+            for j in range(start, n):
+                if weighted:
+                    acc *= j
+                prev = rows[j][m - 2]
                 if prev:
-                    acc += gw[k] * prev
-            row[m - 1] = acc
+                    acc += gvals[n - j] * prev
+            row.append(acc)
         rows.append(row)
+        if weighted:
+            lead *= n
     return Triangle(g, h, rows, m_max)
 
 

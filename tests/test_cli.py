@@ -147,6 +147,21 @@ def test_triangle_corrupt_cache_warns_and_rebuilds(tmp_path, capsys):
     assert "warning" in err
 
 
+def test_triangle_corrupt_exact_entry_is_repaired(tmp_path, capsys):
+    cache_dir = tmp_path / "c"
+    argv = ("triangle", "--g", "sigma", "--h", "id", "--n", "5", "--cache", str(cache_dir))
+    _, first, _ = run(capsys, *argv)
+    entry = next(cache_dir.glob("*.json"))
+    entry.write_text("garbage")
+    code, second, err = run(capsys, *argv)
+    assert (code, second) == (0, first)
+    assert "warning" in err
+    # the rebuild overwrote the bad entry, so the next run is a clean hit
+    code, third, err = run(capsys, *argv)
+    assert (code, third, err) == (0, first, "")
+    assert [p.name for p in cache_dir.iterdir()] == [entry.name]
+
+
 def test_check_vertical_failure_listing(capsys):
     code, out, _ = run(
         capsys, "check", "vertical", "--g", "one", "--h", "id",

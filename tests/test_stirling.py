@@ -6,13 +6,13 @@ from hypothesis import given, strategies as st
 
 from lclab import arith
 from lclab.stirling import (
-    StirlingColumnTable,
     delta,
     harmonic_column_identity,
     sibuya_strict_check,
     stirling_first,
     stirling_row,
 )
+from lclab.triangles import build_triangle
 
 
 def test_small_rows():
@@ -54,21 +54,12 @@ def test_recurrence(n, m):
         )
 
 
-def test_column_table_matches_rows():
-    table = StirlingColumnTable(4, 30)
+def test_one_id_columns_are_stirling_numbers():
+    # the (one, id) triangle stores S(n, m) = n! A(n, m)
+    tri = build_triangle(arith.one(), "id", 30, m_max=4)
     for n in range(31):
         for m in range(min(n, 4) + 1):
-            assert table.value(n, m) == stirling_first(n, m)
-
-
-def test_column_table_bounds():
-    table = StirlingColumnTable(3, 10)
-    with pytest.raises(ValueError):
-        table.value(5, 4)
-    with pytest.raises(ValueError):
-        table.value(11, 2)
-    with pytest.raises(ValueError):
-        StirlingColumnTable(0, 5)
+            assert tri.scaled(n, m) == stirling_first(n, m)
 
 
 def test_sibuya_strict_inequality():

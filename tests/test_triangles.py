@@ -2,8 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lclab import arith
+from lclab.series import Series, eichler_integral
 from lclab.triangles import (
     Poly,
     build_triangle,
@@ -83,6 +85,31 @@ def test_geometric_one_family_rows():
     for n in range(1, 9):
         for x in (1, 2, Fraction(-1, 2)):
             assert tri.row_poly(n)(x) == x * (x + 1) ** (n - 1)
+
+
+# all-ones tables take the Stirling/Pascal start; 0/1 tables must not
+g_tables = st.one_of(
+    st.integers(min_value=0, max_value=13).map(lambda k: [1] * (k + 1)),
+    *(
+        st.lists(st.integers(min_value=0, max_value=top), max_size=13).map(lambda rest: [1] + rest)
+        for top in (1, 9)
+    ),
+)
+
+
+@given(g_tables, st.sampled_from(["one", "id"]), st.sampled_from([None, 1, 2, 5]))
+def test_build_matches_series_power_oracle(values, h, m_max):
+    # A(n, m) = [T^n] G^m when h = one and [T^n] E^m / m! when h = id,
+    # with G and E the series of g(n) and g(n)/n
+    g = arith.from_table(values)
+    n_max = len(values)
+    tri = build_triangle(g, h, n_max, m_max=m_max)
+    base = Series.from_arith(g, n_max) if h == "one" else eichler_integral(g, n_max)
+    for m in range(1, (n_max if m_max is None else min(m_max, n_max)) + 1):
+        power = base.pow_int(m)
+        norm = 1 if h == "one" else math.factorial(m)
+        for n in range(n_max + 1):
+            assert tri.value(n, m) == power.coefficient(n) / norm, (n, m)
 
 
 def test_outside_and_errors():
