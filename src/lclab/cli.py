@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -126,6 +127,14 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------- triangle
 
 
+def _ratio_text(b, scale: int) -> str:
+    """str(Fraction(b) / scale), with one gcd and no Fraction for int b."""
+    if not isinstance(b, int):
+        return str(Fraction(b) / scale)
+    d = math.gcd(b, scale)
+    return str(b // d) if d == scale else f"{b // d}/{scale // d}"
+
+
 def format_triangle(tri: Triangle, fmt: str, scaled: bool = False) -> str:
     """Render a triangle.  Rows are printed for n = 0..n_max with entries
     in ascending m; --scaled swaps in the integer-scaled entries and adds
@@ -134,10 +143,10 @@ def format_triangle(tri: Triangle, fmt: str, scaled: bool = False) -> str:
         rows = [[str(v) for v in tri.row_scaled(n)] for n in range(tri.n_max + 1)]
         scales = [str(tri.scale(n)) for n in range(tri.n_max + 1)]
     else:
-        rows = [
-            ["1"] if n == 0 else [str(v) for v in tri.row_values(n)]
-            for n in range(tri.n_max + 1)
-        ]
+        rows = [["1"]]
+        for n in range(1, tri.n_max + 1):
+            scale = tri.scale(n)
+            rows.append([_ratio_text(b, scale) for b in tri.row_scaled(n)])
         scales = None
     if fmt == "table":
         lines = [f"# g={tri.g.label} h={tri.h} n_max={tri.n_max}"
@@ -172,13 +181,17 @@ def format_triangle(tri: Triangle, fmt: str, scaled: bool = False) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _warn_skipped(exc: CacheError) -> None:
+    print(f"lclab: warning: skipping unusable cache entry: {exc}", file=sys.stderr)
+
+
 def cmd_triangle(args) -> int:
     g = parse_g(args.g)
     cache_dir = os.environ.get(ENV_VAR) or args.cache
     tri = None
     if cache_dir:
         try:
-            tri = load_triangle(cache_dir, g, args.h, args.n)
+            tri = load_triangle(cache_dir, g, args.h, args.n, on_skip=_warn_skipped)
         except CacheError as exc:
             print(f"lclab: warning: rebuilding, cache entry unusable: {exc}", file=sys.stderr)
     if tri is None:
@@ -422,11 +435,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # entries past 4300 digits print in full; library callers keep the limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValueError, OSError, IndexError) as exc:
         print(f"lclab: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

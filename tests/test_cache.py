@@ -1,9 +1,18 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from lclab import arith
-from lclab.cache import CacheError, entry_name, load_triangle, save_triangle
+from lclab.cache import (
+    CacheError,
+    _decode,
+    _encode,
+    entry_name,
+    load_triangle,
+    save_triangle,
+)
 from lclab.triangles import build_triangle
 
 
@@ -84,3 +93,44 @@ def test_no_temp_litter(tmp_path):
     save_triangle(tmp_path, build_triangle(arith.one(), "one", 6))
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+def _round_trips(v):
+    back = _decode(_encode(v))
+    assert back == v
+    # integral values come back as int, the rest as Fraction
+    assert type(back) is (int if Fraction(v).denominator == 1 else Fraction)
+
+
+@example(0)
+@example(-7)
+@example(Fraction(6, 1))
+@given(st.one_of(st.integers(), st.fractions()))
+def test_entry_codec_round_trips(v):
+    _round_trips(v)
+
+
+def test_entry_codec_past_str_limit():
+    big = 10**5000 + 12345  # past CPython's 4300-digit int/str limit
+    for v in (big, -big, Fraction(-big, 3), Fraction(7, big)):
+        _round_trips(v)
+
+
+def test_corrupt_candidates_are_skipped(tmp_path):
+    for n in (8, 12, 15):
+        save_triangle(tmp_path, build_triangle(arith.sigma(), "id", n))
+    (tmp_path / entry_name("sigma", "id", 8)).write_text("{not json")
+    (tmp_path / entry_name("sigma", "id", 12)).write_text("[1, 2]")
+    skipped = []
+    part = load_triangle(tmp_path, arith.sigma(), "id", 6, on_skip=skipped.append)
+    assert part.n_max == 6
+    assert part.row_scaled(6) == build_triangle(arith.sigma(), "id", 6).row_scaled(6)
+    assert [str(e).split(":")[0] for e in skipped] == [
+        entry_name("sigma", "id", 8), entry_name("sigma", "id", 12)
+    ]
+    # with no good candidate left, the last one's error is raised
+    (tmp_path / entry_name("sigma", "id", 15)).unlink()
+    skipped.clear()
+    with pytest.raises(CacheError, match="not a JSON object"):
+        load_triangle(tmp_path, arith.sigma(), "id", 6, on_skip=skipped.append)
+    assert len(skipped) == 1

@@ -1,11 +1,15 @@
+import hashlib
 import json
+import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lclab import arith
-from lclab.cli import ingest_custom_g, main, parse_g, parse_rational, parse_xs
-from lclab.triangles import build_triangle
+from lclab.cli import _ratio_text, ingest_custom_g, main, parse_g, parse_rational, parse_xs
+from lclab.triangles import Triangle, build_triangle
 
 
 def run(capsys, *argv):
@@ -305,3 +309,122 @@ def test_check_rejects_negative_entries(scan, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "(2, 1) is negative" in err
+
+
+def test_triangle_cache_entry_not_an_object(tmp_path, capsys):
+    cache_dir = tmp_path / "c"
+    argv = ("triangle", "--g", "sigma", "--h", "id", "--n", "5", "--cache", str(cache_dir))
+    _, first, _ = run(capsys, *argv)
+    next(cache_dir.glob("*.json")).write_text("[1, 2]")
+    code, second, err = run(capsys, *argv)
+    assert (code, second) == (0, first)
+    assert "warning" in err and "not a JSON object" in err
+
+
+def test_triangle_skips_corrupt_larger_candidate(tmp_path, capsys):
+    cache_dir = tmp_path / "c"
+    for n in ("8", "12"):
+        run(capsys, "triangle", "--g", "sigma", "--h", "id", "--n", n, "--cache", str(cache_dir))
+    bad = cache_dir / "triangle-sigma-id-n8.json"
+    bad.write_text("garbage")
+    _, cold, _ = run(capsys, "triangle", "--g", "sigma", "--h", "id", "--n", "6")
+    code, warm, err = run(
+        capsys, "triangle", "--g", "sigma", "--h", "id", "--n", "6", "--cache", str(cache_dir)
+    )
+    assert (code, warm) == (0, cold)
+    assert bad.name in err and "rebuilding" not in err
+    # served from n = 12, so nothing was rebuilt or written
+    assert sorted(p.name for p in cache_dir.iterdir()) == [
+        "triangle-sigma-id-n12.json", bad.name
+    ]
+
+
+def test_triangle_entries_past_int_str_limit(tmp_path, capsys):
+    # g(2) = 10^4999 has 5000 digits, past CPython's default 4300
+    g2 = "1" + "0" * 4999
+    table = tmp_path / "g.txt"
+    table.write_text(f"1\n{g2}\n7\n")
+    argv = ("triangle", "--g", f"custom={table}", "--h", "one", "--n", "3", "--format", "csv")
+    expected = f"0,1\n1,1\n2,{g2},1\n3,7,2{g2[1:]},1\n"
+    assert run(capsys, *argv) == (0, expected, "")
+    cache_dir = tmp_path / "c"
+    for _ in range(2):  # a miss that writes, then a hit
+        assert run(capsys, *argv, "--cache", str(cache_dir)) == (0, expected, "")
+    assert len(list(cache_dir.iterdir())) == 1
+
+
+def test_main_restores_int_str_limit(capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)  # not the default, so a leak cannot pass
+    try:
+        for g, code in (("one", 0), ("nope", 2)):
+            assert run(capsys, "triangle", "--g", g, "--h", "id", "--n", "3")[0] == code
+            assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@given(
+    st.one_of(
+        st.integers(),
+        st.builds(lambda a, k: a * math.factorial(k), st.integers(), st.integers(0, 40)),
+        st.fractions(),
+    ),
+    st.integers(0, 40),
+    st.sampled_from(["one", "id"]),
+)
+def test_ratio_text_matches_fraction_str(b, n, h):
+    scale = Triangle(arith.one(), h, [[1]]).scale(n)
+    assert _ratio_text(b, scale) == str(Fraction(b) / scale)
+
+
+def _tilde_sigma_table(path, n):
+    values = arith.tilde(arith.sigma()).values(n)[1:]
+    path.write_text("".join(f"{v}\n" for v in values))
+    return f"custom={path}"
+
+
+@pytest.mark.parametrize("scaled", [(), ("--scaled",)], ids=["values", "scaled"])
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("family", ["sigma-id", "tilde_sigma-one"])
+def test_warm_cache_output_matches_cold(family, fmt, scaled, tmp_path, capsys):
+    if family == "sigma-id":
+        g, h = "sigma", "id"
+    else:
+        g, h = _tilde_sigma_table(tmp_path / "g.txt", 12), "one"
+
+    def triangle(n, *cache):
+        code, out, err = run(
+            capsys, "triangle", "--g", g, "--h", h, "--n", str(n),
+            "--format", fmt, *scaled, *cache,
+        )
+        assert (code, err) == (0, "")
+        return out
+
+    cold = triangle(8)
+    exact, larger = tmp_path / "exact", tmp_path / "larger"
+    assert triangle(8, "--cache", str(exact)) == cold  # miss, writes n = 8
+    assert triangle(8, "--cache", str(exact)) == cold  # exact hit
+    triangle(12, "--cache", str(larger))
+    assert triangle(8, "--cache", str(larger)) == cold  # truncated hit
+    assert len(list(exact.iterdir())) == len(list(larger.iterdir())) == 1
+
+
+def test_triangle_schema1_entry_is_rebuilt_once(tmp_path, capsys):
+    # an entry as schema 1 wrote it: decimal strings, digest of the sorted body
+    tri = build_triangle(arith.sigma(), "id", 5)
+    body = {
+        "schema": 1, "kind": "triangle", "g": "sigma", "g_label": tri.g.label, "h": "id",
+        "n_max": 5, "rows": [[str(v) for v in tri.row_scaled(n)] for n in range(6)],
+    }
+    blob = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+    body["checksum"] = hashlib.sha256(blob).hexdigest()
+    cache_dir = tmp_path / "c"
+    cache_dir.mkdir()
+    (cache_dir / "triangle-sigma-id-n5.json").write_text(json.dumps(body, separators=(",", ":")))
+    argv = ("triangle", "--g", "sigma", "--h", "id", "--n", "5")
+    _, cold, _ = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--cache", str(cache_dir))
+    assert (code, out) == (0, cold)
+    assert "schema 1, expected 2" in err
+    assert run(capsys, *argv, "--cache", str(cache_dir)) == (0, cold, "")
