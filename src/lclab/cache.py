@@ -146,8 +146,8 @@ def load_triangle(directory, g: ArithFn, h: str, n_max: int, on_skip=None) -> Tr
 
     Tries the exact size first, then each larger cached build from the
     smallest up, truncated.  A corrupt candidate with another one after it
-    is passed to on_skip(CacheError) (if given) and skipped; when the last
-    candidate is corrupt too, its CacheError is raised.
+    is passed to on_skip(path, CacheError) (if given) and skipped; when the
+    last candidate is corrupt too, its CacheError is raised.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -165,5 +165,5 @@ def load_triangle(directory, g: ArithFn, h: str, n_max: int, on_skip=None) -> Tr
             return _parse_entry(path, g, h, n_max)
         except CacheError as exc:
             if on_skip is not None:
-                on_skip(exc)
+                on_skip(path, exc)
     return _parse_entry(candidates[-1][1], g, h, n_max)

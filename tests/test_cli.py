@@ -339,6 +339,25 @@ def test_triangle_skips_corrupt_larger_candidate(tmp_path, capsys):
     ]
 
 
+def test_triangle_corrupt_exact_entry_is_repaired_from_larger(tmp_path, capsys):
+    cache_dir = tmp_path / "c"
+    for n in ("5", "10"):
+        run(capsys, "triangle", "--g", "sigma", "--h", "id", "--n", n, "--cache", str(cache_dir))
+    bad = cache_dir / "triangle-sigma-id-n5.json"
+    bad.write_text("garbage")
+    argv = ("triangle", "--g", "sigma", "--h", "id", "--n", "5", "--cache", str(cache_dir))
+    _, cold, _ = run(capsys, "triangle", "--g", "sigma", "--h", "id", "--n", "5")
+    code, warm, err = run(capsys, *argv)
+    assert (code, warm) == (0, cold)
+    assert bad.name in err and "rebuilding" not in err
+    # served from n = 10, and the served rows replaced the bad exact entry
+    code, again, err = run(capsys, *argv)
+    assert (code, again, err) == (0, cold, "")
+    assert sorted(p.name for p in cache_dir.iterdir()) == [
+        "triangle-sigma-id-n10.json", bad.name
+    ]
+
+
 def test_triangle_entries_past_int_str_limit(tmp_path, capsys):
     # g(2) = 10^4999 has 5000 digits, past CPython's default 4300
     g2 = "1" + "0" * 4999
