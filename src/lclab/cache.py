@@ -1,6 +1,7 @@
 """On-disk cache of built triangles.
 
-One JSON file per (g, h, n_max) full build, schema 2.  Each stored entry
+One JSON file per family (g, h), named by entry_name(g.key, h), holding
+the last full build written, schema 2.  Each stored entry
 B(n, m) is a hex string: f"{v:x}" for an int, "p/q" with p and q in hex
 for a non-integral Fraction.  Hex converts in linear time both ways and is
 not subject to CPython's limit on decimal int/str conversion.
@@ -15,10 +16,12 @@ raises CacheError.  Writes go through a temp file in the same directory
 followed by an atomic rename, so a crash mid-write never leaves a
 half-file behind.
 
-A request for n_max = N is also satisfied by any cached build of the same
-family with a larger N: rows of the recursion do not depend on later rows,
-so truncation is exact.  Candidates are tried from the exact size upwards,
-and a corrupt one is skipped for the next.  Column-limited builds are
+Rows of the recursion do not depend on later rows, so the stored build
+serves every request up to its size, truncated.  A larger request finds
+no usable entry; the caller rebuilds and saves, which replaces the file,
+as it does after a corrupt entry.  The last writer wins.  Files named
+"triangle-<g>-<h>-n<N>.json", written by earlier versions with one file
+per size, are never read and can be deleted.  Column-limited builds are
 never cached.
 """
 
@@ -50,11 +53,8 @@ def _safe(token: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.=-]", "_", token)
 
 
-def entry_name(g_key: str, h: str, n_max: int) -> str:
-    return f"triangle-{_safe(g_key)}-{h}-n{n_max}.json"
-
-
-_NAME_RE = re.compile(r"^triangle-(?P<g>.+)-(?P<h>one|id)-n(?P<n>\d+)\.json$")
+def entry_name(g_key: str, h: str) -> str:
+    return f"triangle-{_safe(g_key)}-{h}.json"
 
 
 def _encode(v) -> str:
@@ -100,7 +100,7 @@ def save_triangle(directory, tri: Triangle) -> Path:
         raise ValueError("column-limited builds are not cached")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    target = directory / entry_name(tri.g.key, tri.h, tri.n_max)
+    target = directory / entry_name(tri.g.key, tri.h)
     data = _serialise(tri)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -114,7 +114,7 @@ def save_triangle(directory, tri: Triangle) -> Path:
     return target
 
 
-def _parse_entry(path: Path, g: ArithFn, h: str, n_max: int) -> Triangle:
+def _parse_entry(path: Path, g: ArithFn, h: str, n_max: int) -> Triangle | None:
     try:
         data = path.read_bytes()
         body = json.loads(data)
@@ -133,37 +133,23 @@ def _parse_entry(path: Path, g: ArithFn, h: str, n_max: int) -> Triangle:
         )
     try:
         stored = body["n_max"]
-        if stored < n_max or len(body["rows"]) != stored + 1:
-            raise CacheError(f"{path.name}: too small or row count off")
+        if len(body["rows"]) != stored + 1:
+            raise CacheError(f"{path.name}: row count off")
+        if stored < n_max:
+            return None
         rows = [[_decode(v) for v in row] for row in body["rows"][: n_max + 1]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CacheError(f"{path.name}: malformed rows ({exc})") from exc
     return Triangle(g, h, rows)
 
 
-def load_triangle(directory, g: ArithFn, h: str, n_max: int, on_skip=None) -> Triangle | None:
-    """Return a cached triangle for (g, h, n_max), or None if absent.
-
-    Tries the exact size first, then each larger cached build from the
-    smallest up, truncated.  A corrupt candidate with another one after it
-    is passed to on_skip(path, CacheError) (if given) and skipped; when the
-    last candidate is corrupt too, its CacheError is raised.
-    """
-    directory = Path(directory)
-    if not directory.is_dir():
+def load_triangle(directory, g: ArithFn, h: str, n_max: int) -> Triangle | None:
+    """Rows 0..n_max of the cached (g, h) build, or None when there is no
+    entry or it holds a smaller build.  Raises CacheError when the entry
+    cannot be trusted."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    path = Path(directory) / entry_name(g.key, h)
+    if not path.exists():
         return None
-    candidates = []
-    for path in directory.glob(f"triangle-{_safe(g.key)}-{h}-n*.json"):
-        match = _NAME_RE.match(path.name)
-        if match and int(match.group("n")) >= n_max:
-            candidates.append((int(match.group("n")), path))
-    if not candidates:
-        return None
-    candidates.sort()
-    for _, path in candidates[:-1]:
-        try:
-            return _parse_entry(path, g, h, n_max)
-        except CacheError as exc:
-            if on_skip is not None:
-                on_skip(path, exc)
-    return _parse_entry(candidates[-1][1], g, h, n_max)
+    return _parse_entry(path, g, h, n_max)

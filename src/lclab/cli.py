@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import arith
 from .arith import ArithFn, from_table, _exactify
-from .cache import ENV_VAR, CacheError, entry_name, load_triangle, save_triangle
+from .cache import ENV_VAR, CacheError, load_triangle, save_triangle
 from .concavity import (
     ConcavityReport,
     first_failure_table,
@@ -185,24 +185,16 @@ def cmd_triangle(args) -> int:
     g = parse_g(args.g)
     cache_dir = os.environ.get(ENV_VAR) or args.cache
     tri = None
-    skipped = []
-
-    def skip(path, exc):
-        print(f"lclab: warning: skipping unusable cache entry: {exc}", file=sys.stderr)
-        skipped.append(path.name)
-
     if cache_dir:
         try:
-            tri = load_triangle(cache_dir, g, args.h, args.n, on_skip=skip)
+            tri = load_triangle(cache_dir, g, args.h, args.n)
         except CacheError as exc:
             print(f"lclab: warning: rebuilding, cache entry unusable: {exc}", file=sys.stderr)
-    save = tri is None or entry_name(g.key, args.h, args.n) in skipped
     if tri is None:
         tri = build_triangle(g, args.h, args.n)
-    if cache_dir and save:
-        # a rebuild, or a hit from a larger build past a corrupt exact entry:
-        # either way the exact entry is written, atomically replacing a bad one
-        save_triangle(cache_dir, tri)
+        if cache_dir:
+            # a miss, a smaller build or a corrupt entry: the rebuild replaces it
+            save_triangle(cache_dir, tri)
     _emit(format_triangle(tri, args.format, args.scaled), args.out)
     return 0
 

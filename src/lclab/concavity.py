@@ -188,6 +188,8 @@ def window_top(C: Fraction, m: int) -> int:
     C = Fraction(C)
     if C <= 0:
         raise ValueError("the window base C must be positive")
+    if m < 0:
+        raise ValueError(f"the window exponent m must be >= 0, got {m}")
     return C.numerator**m // C.denominator**m
 
 

@@ -118,9 +118,6 @@ class Triangle:
         """L_n, the common denominator of row n."""
         return math.factorial(n) if self.h == "id" else 1
 
-    def _m_top(self, n: int) -> int:
-        return n if self.m_max is None else min(n, self.m_max)
-
     def scaled(self, n: int, m: int):
         """L_n * A(n, m); zero outside the triangle.
 

@@ -58,7 +58,7 @@ def test_miss_returns_none(tmp_path):
 
 def test_checksum_detects_tampering(tmp_path):
     save_triangle(tmp_path, build_triangle(arith.sigma(), "id", 6))
-    path = tmp_path / entry_name("sigma", "id", 6)
+    path = tmp_path / entry_name("sigma", "id")
     body = json.loads(path.read_text())
     body["rows"][3][0] = "999"
     path.write_text(json.dumps(body))
@@ -67,7 +67,7 @@ def test_checksum_detects_tampering(tmp_path):
 
 
 def test_garbage_file_raises(tmp_path):
-    path = tmp_path / entry_name("sigma", "id", 4)
+    path = tmp_path / entry_name("sigma", "id")
     path.write_text("not json at all")
     with pytest.raises(CacheError):
         load_triangle(tmp_path, arith.sigma(), "id", 4)
@@ -75,7 +75,7 @@ def test_garbage_file_raises(tmp_path):
 
 def test_schema_version_checked(tmp_path):
     save_triangle(tmp_path, build_triangle(arith.sigma(), "id", 4))
-    path = tmp_path / entry_name("sigma", "id", 4)
+    path = tmp_path / entry_name("sigma", "id")
     body = json.loads(path.read_text())
     body["schema"] = 99
     path.write_text(json.dumps(body))
@@ -116,24 +116,28 @@ def test_entry_codec_past_str_limit():
         _round_trips(v)
 
 
-def test_corrupt_candidates_are_skipped(tmp_path):
-    for n in (8, 12, 15):
-        save_triangle(tmp_path, build_triangle(arith.sigma(), "id", n))
-    (tmp_path / entry_name("sigma", "id", 8)).write_text("{not json")
-    (tmp_path / entry_name("sigma", "id", 12)).write_text("[1, 2]")
-    skipped = []
+def test_one_entry_per_family(tmp_path):
+    g = arith.sigma()
+    save_triangle(tmp_path, build_triangle(g, "id", 6))
+    save_triangle(tmp_path, build_triangle(g, "id", 10))
+    save_triangle(tmp_path, build_triangle(g, "one", 4))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [entry_name("sigma", "id"), entry_name("sigma", "one")]
+    )
+    # the later save replaced the earlier one
+    assert load_triangle(tmp_path, g, "id", 10).n_max == 10
+    # and the last writer wins, even with a smaller build
+    save_triangle(tmp_path, build_triangle(g, "id", 3))
+    assert load_triangle(tmp_path, g, "id", 3).n_max == 3
+    assert load_triangle(tmp_path, g, "id", 4) is None
 
-    def skip(path, exc):
-        assert str(exc).startswith(path.name + ":")
-        skipped.append(path.name)
 
-    part = load_triangle(tmp_path, arith.sigma(), "id", 6, on_skip=skip)
-    assert part.n_max == 6
-    assert part.row_scaled(6) == build_triangle(arith.sigma(), "id", 6).row_scaled(6)
-    assert skipped == [entry_name("sigma", "id", 8), entry_name("sigma", "id", 12)]
-    # with no good candidate left, the last one's error is raised
-    (tmp_path / entry_name("sigma", "id", 15)).unlink()
-    skipped.clear()
-    with pytest.raises(CacheError, match="not a JSON object"):
-        load_triangle(tmp_path, arith.sigma(), "id", 6, on_skip=skip)
-    assert skipped == [entry_name("sigma", "id", 8)]
+@pytest.mark.parametrize("garbage", ["{not json", "[1, 2]"])
+@pytest.mark.parametrize("n", [3, 6, 9])
+def test_corrupt_entry_raises_for_any_request(garbage, n, tmp_path):
+    save_triangle(tmp_path, build_triangle(arith.sigma(), "id", 6))
+    path = tmp_path / entry_name("sigma", "id")
+    path.write_text(garbage)
+    with pytest.raises(CacheError) as info:
+        load_triangle(tmp_path, arith.sigma(), "id", n)
+    assert str(info.value).startswith(path.name + ":")

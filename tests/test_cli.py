@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lclab import arith
+from lclab.cache import entry_name
 from lclab.cli import _ratio_text, ingest_custom_g, main, parse_g, parse_rational, parse_xs
 from lclab.triangles import Triangle, build_triangle
 
@@ -321,41 +323,60 @@ def test_triangle_cache_entry_not_an_object(tmp_path, capsys):
     assert "warning" in err and "not a JSON object" in err
 
 
-def test_triangle_skips_corrupt_larger_candidate(tmp_path, capsys):
+def test_triangle_corrupt_larger_entry_is_replaced(tmp_path, capsys):
     cache_dir = tmp_path / "c"
-    for n in ("8", "12"):
-        run(capsys, "triangle", "--g", "sigma", "--h", "id", "--n", n, "--cache", str(cache_dir))
-    bad = cache_dir / "triangle-sigma-id-n8.json"
-    bad.write_text("garbage")
-    _, cold, _ = run(capsys, "triangle", "--g", "sigma", "--h", "id", "--n", "6")
-    code, warm, err = run(
-        capsys, "triangle", "--g", "sigma", "--h", "id", "--n", "6", "--cache", str(cache_dir)
-    )
-    assert (code, warm) == (0, cold)
-    assert bad.name in err and "rebuilding" not in err
-    # served from n = 12, so nothing was rebuilt or written
-    assert sorted(p.name for p in cache_dir.iterdir()) == [
-        "triangle-sigma-id-n12.json", bad.name
-    ]
+
+    def triangle(n, *cache):
+        return run(capsys, "triangle", "--g", "sigma", "--h", "id", "--n", str(n), *cache)
+
+    triangle(12, "--cache", str(cache_dir))
+    entry = cache_dir / entry_name("sigma", "id")
+    entry.write_text("garbage")
+    code, out, err = triangle(6, "--cache", str(cache_dir))
+    assert (code, out) == (0, triangle(6)[1])
+    assert f"rebuilding, cache entry unusable: {entry.name}:" in err
+    # the n = 6 rebuild replaced the bad entry; n = 10 outgrows it, silently
+    assert triangle(10, "--cache", str(cache_dir)) == (0, triangle(10)[1], "")
+    assert triangle(6, "--cache", str(cache_dir)) == (0, triangle(6)[1], "")
+    assert [p.name for p in cache_dir.iterdir()] == [entry.name]
 
 
-def test_triangle_corrupt_exact_entry_is_repaired_from_larger(tmp_path, capsys):
+def test_triangle_larger_request_replaces_smaller_entry(tmp_path, capsys):
     cache_dir = tmp_path / "c"
-    for n in ("5", "10"):
-        run(capsys, "triangle", "--g", "sigma", "--h", "id", "--n", n, "--cache", str(cache_dir))
-    bad = cache_dir / "triangle-sigma-id-n5.json"
-    bad.write_text("garbage")
-    argv = ("triangle", "--g", "sigma", "--h", "id", "--n", "5", "--cache", str(cache_dir))
-    _, cold, _ = run(capsys, "triangle", "--g", "sigma", "--h", "id", "--n", "5")
-    code, warm, err = run(capsys, *argv)
-    assert (code, warm) == (0, cold)
-    assert bad.name in err and "rebuilding" not in err
-    # served from n = 10, and the served rows replaced the bad exact entry
-    code, again, err = run(capsys, *argv)
-    assert (code, again, err) == (0, cold, "")
-    assert sorted(p.name for p in cache_dir.iterdir()) == [
-        "triangle-sigma-id-n10.json", bad.name
-    ]
+    entry = cache_dir / entry_name("sigma", "id")
+
+    def triangle(n):
+        argv = ("triangle", "--g", "sigma", "--h", "id", "--n", str(n))
+        cold = run(capsys, *argv)
+        assert run(capsys, *argv, "--cache", str(cache_dir)) == cold
+        return json.loads(entry.read_bytes())["n_max"], os.stat(entry).st_ino
+
+    n_stored, inode = triangle(5)
+    assert n_stored == 5
+    n_stored, inode = triangle(9)  # a smaller build is rebuilt and replaced
+    assert n_stored == 9
+    assert triangle(4) == (9, inode)  # a truncated hit writes nothing
+    assert [p.name for p in cache_dir.iterdir()] == [entry.name]
+
+
+def test_triangle_negative_n_rejected_with_cache(tmp_path, capsys):
+    cache_dir = tmp_path / "c"
+    run(capsys, "triangle", "--g", "sigma", "--h", "id", "--n", "3", "--cache", str(cache_dir))
+    argv = ("triangle", "--g", "sigma", "--h", "id", "--n", "-1", "--format", "json")
+    expected = (2, "", "lclab: error: n_max must be >= 0\n")
+    assert run(capsys, *argv) == expected
+    assert run(capsys, *argv, "--cache", str(cache_dir)) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("hz", "--C", "2"), ("cscan", "--g", "one", "--h", "id", "--C", "2")],
+    ids=["hz", "cscan"],
+)
+def test_check_window_rejects_negative_m_max(argv, capsys):
+    code, out, err = run(capsys, "check", *argv, "--m-max", "-1")
+    assert (code, out) == (2, "")
+    assert err == "lclab: error: the window exponent m must be >= 0, got -1\n"
 
 
 def test_triangle_entries_past_int_str_limit(tmp_path, capsys):
@@ -440,7 +461,7 @@ def test_triangle_schema1_entry_is_rebuilt_once(tmp_path, capsys):
     body["checksum"] = hashlib.sha256(blob).hexdigest()
     cache_dir = tmp_path / "c"
     cache_dir.mkdir()
-    (cache_dir / "triangle-sigma-id-n5.json").write_text(json.dumps(body, separators=(",", ":")))
+    (cache_dir / entry_name("sigma", "id")).write_text(json.dumps(body, separators=(",", ":")))
     argv = ("triangle", "--g", "sigma", "--h", "id", "--n", "5")
     _, cold, _ = run(capsys, *argv)
     code, out, err = run(capsys, *argv, "--cache", str(cache_dir))

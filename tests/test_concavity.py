@@ -100,6 +100,8 @@ def test_window_top_exact():
     assert window_top(Fraction(1, 2), 3) == 0
     with pytest.raises(ValueError):
         window_top(Fraction(-1), 2)
+    with pytest.raises(ValueError, match="exponent m must be >= 0"):
+        window_top(Fraction(1, 2), -1)
 
 
 def test_c_vertical_boundary_failure_visible():
