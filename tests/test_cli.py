@@ -468,3 +468,47 @@ def test_triangle_schema1_entry_is_rebuilt_once(tmp_path, capsys):
     assert (code, out) == (0, cold)
     assert "schema 1, expected 2" in err
     assert run(capsys, *argv, "--cache", str(cache_dir)) == (0, cold, "")
+
+
+_V25_FAILURES = [(n, 1) for n in range(3, 20, 2)] + [(6, 2)] + [(n, 2) for n in range(9, 20, 2)]
+
+# check argv -> (exit code, stdout, stderr); columns past n_max read as zero,
+# and the column bound is checked after the checks that name other inputs
+COLUMN_SELECTION_CASES = {
+    "vertical --g sigma --h id --m 30 --n-max 20": (
+        0, "PASS vertical: g=sigma h=id m=30..30 centers n<=19\n", "",
+    ),
+    "vertical --g sigma --h id --m-to 25 --n-max 20": (
+        1,
+        "FAIL vertical: g=sigma h=id m=1..25 centers n<=19\n"
+        "  16 failing center(s):\n"
+        + "".join(f"    n={n} m={m}\n" for n, m in _V25_FAILURES),
+        "",
+    ),
+    "vertical --g sigma --h id --m-from 18 --n-max 20": (
+        0, "PASS vertical: g=sigma h=id m=18..20 centers n<=19\n", "",
+    ),
+    "vertical --g sigma --h id --m 2 --n-max 0": (
+        0, "PASS vertical: g=sigma h=id m=2..2 centers n<=-1\n", "",
+    ),
+    "vertical --g one --h id --m 0 --n-max 5": (
+        2, "", "lclab: error: m_max must be >= 1 when given\n",
+    ),
+    "table1 --m-max 0": (2, "", "lclab: error: m_max must be >= 1 when given\n"),
+    "table1 --m-max -1": (2, "", "lclab: error: m_max must be >= 1 when given\n"),
+    "table1 --m-max 3 --n-limit -5": (2, "", "lclab: error: n_max must be >= 0\n"),
+    "cscan --g one --h id --C 0 --m-max 0": (
+        2, "", "lclab: error: the window base C must be positive\n",
+    ),
+    "vertical --g custom=TWO --h id --n-max 5": (
+        2, "", "lclab: error: 'custom:two.txt' is only defined for n <= 2, asked for 5\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("line", list(COLUMN_SELECTION_CASES))
+def test_check_column_selection_edges(line, tmp_path, capsys):
+    table = tmp_path / "two.txt"
+    table.write_text("1\n1\n")
+    argv = line.replace("custom=TWO", f"custom={table}").split()
+    assert run(capsys, "check", *argv) == COLUMN_SELECTION_CASES[line]
