@@ -65,6 +65,7 @@ from .triangles import (
     convert,
     euler_product_crosscheck,
     genfun_crosscheck,
+    iter_columns,
 )
 
 __version__ = "0.1.0"

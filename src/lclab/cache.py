@@ -21,8 +21,7 @@ serves every request up to its size, truncated.  A larger request finds
 no usable entry; the caller rebuilds and saves, which replaces the file,
 as it does after a corrupt entry.  The last writer wins.  Files named
 "triangle-<g>-<h>-n<N>.json", written by earlier versions with one file
-per size, are never read and can be deleted.  Column-limited builds are
-never cached.
+per size, are never read and can be deleted.
 """
 
 from __future__ import annotations
@@ -95,9 +94,7 @@ def _checksum_ok(data: bytes) -> bool:
 
 
 def save_triangle(directory, tri: Triangle) -> Path:
-    """Write tri to the cache directory, atomically.  Full builds only."""
-    if tri.m_max is not None:
-        raise ValueError("column-limited builds are not cached")
+    """Write tri to the cache directory, atomically."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     target = directory / entry_name(tri.g.key, tri.h)

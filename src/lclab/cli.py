@@ -27,6 +27,7 @@ from .arith import ArithFn, from_table, _exactify
 from .cache import ENV_VAR, CacheError, load_triangle, save_triangle
 from .concavity import (
     ConcavityReport,
+    _ColumnStream,
     first_failure_table,
     hong_zhang_scan,
     horizontal_check,
@@ -286,9 +287,7 @@ def _run_horizontal(args) -> ConcavityReport:
 def _run_vertical(args) -> ConcavityReport:
     g = parse_g(args.g)
     m_from, m_to = _m_selection(args, default_to=args.n_max)
-    limited = m_to if (args.m is not None or args.m_to is not None) else None
-    tri = build_triangle(g, args.h, args.n_max, m_max=limited)
-    return vertical_check(tri, m_from, m_to)
+    return vertical_check(_ColumnStream(g, args.h, args.n_max, m_to), m_from, m_to)
 
 
 def _run_genfun(args) -> CheckResult:

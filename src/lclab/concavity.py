@@ -9,8 +9,9 @@ at fixed m, and windowed vertical checks restrict the centers to
 column past its edge).
 
 Every scan runs through one kernel, _scan, on a plain list: a zero-padded
-row, or a column read once from the triangle.  Comparisons never leave
-the stored entries.  With row scale L_n the column inequality
+row, or a column of a triangle or, for scans given a family, of
+triangles.iter_columns, read without building the triangle.  Comparisons
+never leave the stored entries.  With row scale L_n the column inequality
 A(n, m)^2 >= A(n-1, m) A(n+1, m) is equivalent to
 
     L_(n-1) L_(n+1) B_n^2 >= L_n^2 B_(n-1) B_(n+1),
@@ -23,7 +24,7 @@ ValueError naming the entry's (n, m), since log-concavity is not defined
 for them.
 
 The Stirling column scans behind Table 1 are column scans of the (one, id)
-triangle, whose stored column m is S(n, m) = n! A(n, m); build_triangle
+triangle, whose stored column m is S(n, m) = n! A(n, m); iter_columns
 fills it by the Stirling rule, so it needs no table of its own.
 
 The conjecture-style scan over the divisor-sum coefficients b_(m, n) of
@@ -39,7 +40,7 @@ from fractions import Fraction
 
 from .arith import ArithFn, one, sigma, tilde
 from .series import eichler_integral
-from .triangles import CheckResult, Triangle, build_triangle
+from .triangles import CheckResult, Triangle, _check_family, build_triangle, iter_columns
 
 
 @dataclass
@@ -108,10 +109,31 @@ def _scan(vals: list, at, weighted: bool = False):
             yield at(i), False
 
 
-def _column(tri: Triangle, m: int, reach: int):
-    """_scan over column m of tri at centers 1..reach; row n carries the
-    scale n! when h = id."""
-    col = [tri.scaled(n, m) for n in range(reach + 2)]
+class _ColumnStream:
+    """Columns of (g, h) to row n_max, read in increasing m without building
+    the triangle: g, h, n_max and column(m) as on a Triangle, but holding
+    only the latest column.  m_last, the last column read, must be >= 1."""
+
+    def __init__(self, g: ArithFn, h: str, n_max: int, m_last: int):
+        _check_family(h, n_max)
+        if m_last < 1:
+            raise ValueError("m_max must be >= 1 when given")
+        self.g, self.h, self.n_max = g, h, n_max
+        self._columns = enumerate(iter_columns(g, h, n_max), 1)
+        self._m, self._col = 0, [1] + [0] * n_max
+
+    def column(self, m: int) -> list:
+        if m < self._m:
+            raise ValueError(f"column {m} was already passed (at column {self._m})")
+        while self._m < m:  # past n_max the columns are zero
+            self._m, self._col = next(self._columns, (m, [0] * (self.n_max + 1)))
+        return self._col
+
+
+def _column(tri, m: int, reach: int):
+    """_scan over column m of tri (a Triangle or a _ColumnStream) at
+    centers 1..reach; row n carries the scale n! when h = id."""
+    col = tri.column(m)[: max(reach + 2, 0)]
     return _scan(col, lambda n: (n, m), weighted=tri.h == "id")
 
 
@@ -139,8 +161,6 @@ def is_logconcave(seq) -> int | None:
 
 def horizontal_check(tri: Triangle, n_from: int = 1, n_to: int | None = None) -> ConcavityReport:
     """Scan rows n_from..n_to for log-concavity in m."""
-    if tri.m_max is not None:
-        raise ValueError("horizontal scans need full rows")
     n_to = tri.n_max if n_to is None else min(n_to, tri.n_max)
     report = ConcavityReport(
         "horizontal", tri.g.label, tri.h, (n_from, n_to), (1, n_to)
@@ -159,12 +179,10 @@ def vertical_check(
     """Scan columns m_from..m_to at centers n <= n_to.
 
     Centers are capped at tri.n_max - 1 (the right neighbor must exist);
-    the report notes when that cap clipped the request.
+    the report notes when that cap clipped the request.  Columns past
+    tri.n_max are zero and pass.
     """
-    built_cols = tri.n_max if tri.m_max is None else tri.m_max
-    m_to = built_cols if m_to is None else m_to
-    if m_to > built_cols:
-        raise ValueError(f"column {m_to} was not built")
+    m_to = tri.n_max if m_to is None else m_to
     n_cap = tri.n_max - 1
     requested = tri.n_max - 1 if n_to is None else n_to
     n_top = min(requested, n_cap)
@@ -209,9 +227,6 @@ def c_vertical_check(
     """
     C = Fraction(C)
     m_from = 1 if include_m1 else 2
-    built_cols = tri.n_max if tri.m_max is None else tri.m_max
-    if m_to > built_cols:
-        raise ValueError(f"column {m_to} was not built")
     report = ConcavityReport(
         "c-vertical", tri.g.label, tri.h,
         (1, window_top(C, m_to)), (m_from, m_to),
@@ -229,27 +244,22 @@ def c_vertical_check(
 MAX_WINDOW = 4096
 
 
-def window_scan(
-    g: ArithFn, h: str, C, m_max: int, *,
-    include_m1: bool = False, m_built: int | None = None,
-) -> ConcavityReport:
-    """c_vertical_check on the family (g, h), built just far enough.
-
-    The window for the last column fixes the build: rows up to
-    floor(C^m_max) + 1 and columns up to m_built (default m_max).
-    Anything past MAX_WINDOW is refused because the quadratic build cost
-    would run away.
-    """
-    C = Fraction(C)
+def _window_rows(C, m_max: int) -> int:
+    """floor(C^m_max) + 1, the rows a windowed scan to column m_max reads;
+    past MAX_WINDOW the quadratic build cost would run away."""
     top = window_top(C, m_max)
     if top > MAX_WINDOW:
         raise ValueError(
             f"window floor(C^m_max) = {top} exceeds {MAX_WINDOW}; "
             "scan fewer columns or a smaller C"
         )
-    m_built = m_max if m_built is None else m_built
-    tri = build_triangle(g, h, top + 1, m_max=m_built)
-    return c_vertical_check(tri, C, m_max, include_m1=include_m1)
+    return top + 1
+
+
+def window_scan(g: ArithFn, h: str, C, m_max: int, *, include_m1: bool = False) -> ConcavityReport:
+    """c_vertical_check on the columns of (g, h), streamed just far enough."""
+    stream = _ColumnStream(g, h, _window_rows(C, m_max), m_max)
+    return c_vertical_check(stream, C, m_max, include_m1=include_m1)
 
 
 def stirling_column_first_failure(m: int, n_limit: int) -> int | None:
@@ -259,23 +269,22 @@ def stirling_column_first_failure(m: int, n_limit: int) -> int | None:
     (n+1) S(n, m)^2 < n S(n-1, m) S(n+1, m).  Returns None when the whole
     range 1..n_limit passes.
     """
-    tri = build_triangle(one(), "id", n_limit + 1, m_max=m)
-    return first_vertical_failure(tri, m, n_limit)
+    return first_vertical_failure(_ColumnStream(one(), "id", n_limit + 1, m), m, n_limit)
 
 
 def first_failure_table(m_max: int, n_limit: int = 1500) -> list[int | None]:
     """First failing center of the (one, id) columns m = 1..m_max.
 
-    One column-limited build feeds all the scans, so the cost is one
+    One column stream feeds all the scans, so the cost is one
     O(n_limit * m_max) Stirling-rule fill plus the comparisons.
     """
-    tri = build_triangle(one(), "id", n_limit + 1, m_max=m_max)
-    return [first_vertical_failure(tri, m, n_limit) for m in range(1, m_max + 1)]
+    stream = _ColumnStream(one(), "id", n_limit + 1, m_max)
+    return [first_vertical_failure(stream, m, n_limit) for m in range(1, m_max + 1)]
 
 
 def stirling_column_failures(m: int, n_to: int) -> list[int]:
     """All failing centers n <= n_to of the (one, id) column m."""
-    hits = _column(build_triangle(one(), "id", n_to + 1, m_max=m), m, n_to)
+    hits = _column(_ColumnStream(one(), "id", n_to + 1, m), m, n_to)
     return [n for (n, _), failed in hits if failed]
 
 
@@ -321,12 +330,11 @@ def hong_zhang_scan(C, m_max: int, *, include_m1: bool = False) -> ConcavityRepo
 
     Column m is tested at centers n <= floor(C^m).  b_(m, n) is m! times
     the (sigma, id) triangle column, and the m! cancels from both sides of
-    each comparison, so the scan runs on a column-limited integer build
-    (window_scan, which also enforces MAX_WINDOW).
+    each comparison, so the scan runs on the integer column stream, as
+    window_scan does, except that m_max = 0 scans no column and passes.
     """
-    report = window_scan(
-        sigma(), "id", C, m_max, include_m1=include_m1, m_built=max(m_max, 1)
-    )
+    stream = _ColumnStream(sigma(), "id", _window_rows(C, m_max), max(m_max, 1))
+    report = c_vertical_check(stream, C, m_max, include_m1=include_m1)
     report.mode = "hong-zhang"
     report.params["coefficients"] = "divisor-sum series powers"
     return report

@@ -11,8 +11,8 @@ is what everything else in this package consumes.
 Rows are stored integer-scaled: the entry kept for (n, m) is
 B(n, m) = L_n * A(n, m) with L_n = product of h(k) for k <= n (so n! when
 h = id, 1 when h = one).  In the scaled form the recursion is
-division-free, and build_triangle evaluates it in Horner form over the
-rows j = m-1 .. n-1 of column m-1,
+division-free, and iter_columns, its one evaluation, runs it in Horner
+form over the rows j = m-1 .. n-1 of column m-1,
 
     acc <- acc * h(j) + g(n-j) * B(j, m-1),    B(n, m) = final acc,
 
@@ -20,8 +20,8 @@ so every product has one small operand (h(j) or a value of g) and the
 row scale is never stored.  When every value of g is 1, the steps before
 j = n-1 sum to B(n-1, m), so the loop starts there: that is the Stirling
 rule B(n, m) = (n-1) B(n-1, m) + B(n-1, m-1) for h = id and Pascal's
-rule for h = one.  Exact rational values are recovered on demand by
-dividing by L_n.
+rule for h = one.  build_triangle collects the columns into rows, and
+exact rational values are recovered on demand by dividing by L_n.
 
 Two independent generating-function routes reproduce the same rows:
 exp(x E(T)) when h = id and 1 / (1 - x G(T)) when h = one, with E and G the
@@ -99,18 +99,17 @@ class CheckResult:
 class Triangle:
     """Integer-scaled coefficient triangle of one family (g, h).
 
-    Row n holds the scaled entries for m = 1..n (or m = 1..m_max when the
-    build was column-limited); row 0 is the single seed entry A(0, 0) = 1.
-    Use value()/row_values() for the exact rational coefficients and
-    scaled()/row_scaled() for the raw stored entries.
+    Row n holds the scaled entries for m = 1..n; row 0 is the single seed
+    entry A(0, 0) = 1.  value()/row_values() give the exact coefficients,
+    scaled()/row_scaled()/column() the raw stored entries.
     """
 
-    def __init__(self, g: ArithFn, h: str, rows: list[list], m_max: int | None = None):
-        if h not in _H_KINDS:
-            raise ValueError(f"h must be one of {_H_KINDS}, got {h!r}")
+    m_max = None  # for the build hook of perfbench/layers.py only (ROADMAP item 4)
+
+    def __init__(self, g: ArithFn, h: str, rows: list[list]):
+        _check_family(h, len(rows) - 1)
         self.g = g
         self.h = h
-        self.m_max = m_max
         self._rows = rows
         self.n_max = len(rows) - 1
 
@@ -119,19 +118,13 @@ class Triangle:
         return math.factorial(n) if self.h == "id" else 1
 
     def scaled(self, n: int, m: int):
-        """L_n * A(n, m); zero outside the triangle.
-
-        Raises if (n, m) falls in a column the build dropped, since silently
-        returning zero there would corrupt scans.
-        """
+        """L_n * A(n, m); zero outside the triangle."""
         if n < 0 or n > self.n_max:
             raise IndexError(f"row {n} outside triangle (n_max = {self.n_max})")
         if n == 0:
             return 1 if m == 0 else 0
         if m < 1 or m > n:
             return 0
-        if self.m_max is not None and m > self.m_max:
-            raise IndexError(f"column {m} was not built (m_max = {self.m_max})")
         return self._rows[n][m - 1]
 
     def value(self, n: int, m: int) -> Fraction:
@@ -143,66 +136,68 @@ class Triangle:
             raise IndexError(f"row {n} outside triangle (n_max = {self.n_max})")
         return list(self._rows[n])
 
+    def column(self, m: int) -> list:
+        """Column m over n = 0..n_max, scaled; all zero past the triangle."""
+        return [self.scaled(n, m) for n in range(self.n_max + 1)]
+
     def row_values(self, n: int) -> list[Fraction]:
         ln = self.scale(n)
         return [Fraction(b) / ln for b in self.row_scaled(n)]
 
     def row_poly(self, n: int) -> Poly:
-        """P_n as a polynomial (needs the full row, so no column limit)."""
+        """P_n as a polynomial."""
         if n == 0:
             return Poly([1])
-        if self.m_max is not None and self.m_max < n:
-            raise ValueError(f"row {n} is column-limited (m_max = {self.m_max})")
         return Poly([Fraction(0)] + self.row_values(n))
 
     def __repr__(self):
-        lim = f", m_max={self.m_max}" if self.m_max is not None else ""
-        return f"Triangle(g={self.g.label}, h={self.h}, n_max={self.n_max}{lim})"
+        return f"Triangle(g={self.g.label}, h={self.h}, n_max={self.n_max})"
 
 
-def build_triangle(g: ArithFn, h: str, n_max: int, m_max: int | None = None) -> Triangle:
-    """Run the scaled recursion for the family (g, h) up to row n_max.
-
-    Args:
-        g: arithmetic function with g(1) = 1.
-        h: "one" or "id".
-        n_max: last row to build.
-        m_max: keep only columns m <= m_max (scans along a few columns do
-            not need whole rows).  None builds full rows.
-
-    The Horner loop is the hot path of the whole package; it works on the
-    scaled entries only, so for integer g it never leaves bigint land.
-    """
+def _check_family(h: str, n_max: int) -> None:
     if h not in _H_KINDS:
         raise ValueError(f"h must be one of {_H_KINDS}, got {h!r}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if m_max is not None and m_max < 1:
-        raise ValueError("m_max must be >= 1 when given")
-    gvals = g.values(n_max) if n_max >= 1 else [0]
+
+
+def iter_columns(g: ArithFn, h: str, n_max: int):
+    """Yield the stored columns m = 1..n_max of (g, h), each a list of
+    B(n, m) over n = 0..n_max: the one evaluation of the recursion, from the
+    seed column [1, 0, ..., 0].  Arguments are checked, and g's values
+    fetched, on the call, not on the first next()."""
+    _check_family(h, n_max)
+    return _columns(g.values(n_max), h == "id", n_max)
+
+
+def _columns(gvals: list, weighted: bool, n_max: int):
     ones = all(v == 1 for v in gvals[1:])
-    weighted = h == "id"
-    rows: list[list] = [[1]]
-    lead = 1  # L_(n-1); B(n, 1) = g(n) L_(n-1), the one term on the n = 0 seed
-    for n in range(1, n_max + 1):
-        m_top = n if m_max is None else min(n, m_max)
-        row = [gvals[n] * lead]
-        for m in range(2, m_top + 1):
+    col = [1] + [0] * n_max
+    for m in range(1, n_max + 1):
+        prev, col = col, [0] * (n_max + 1)
+        for n in range(m, n_max + 1):
             if ones:  # the steps j < n-1 add up to B(n-1, m)
-                start, acc = n - 1, rows[n - 1][m - 1] if m < n else 0
+                start, acc = n - 1, col[n - 1]
             else:
                 start, acc = m - 1, 0
             for j in range(start, n):
                 if weighted:
                     acc *= j
-                prev = rows[j][m - 2]
-                if prev:
-                    acc += gvals[n - j] * prev
-            row.append(acc)
-        rows.append(row)
-        if weighted:
-            lead *= n
-    return Triangle(g, h, rows, m_max)
+                b = prev[j]
+                if b:
+                    acc += gvals[n - j] * b
+            col[n] = acc
+        yield col
+
+
+def build_triangle(g: ArithFn, h: str, n_max: int) -> Triangle:
+    """The triangle of the family (g, h) up to row n_max: the columns of
+    iter_columns, collected into rows."""
+    rows: list[list] = [[1]] + [[] for _ in range(n_max)]
+    for m, col in enumerate(iter_columns(g, h, n_max), 1):
+        for n in range(m, n_max + 1):
+            rows[n].append(col[n])
+    return Triangle(g, h, rows)
 
 
 def convert(tri: Triangle) -> Triangle:
@@ -214,8 +209,6 @@ def convert(tri: Triangle) -> Triangle:
     """
     if tri.h != "id":
         raise ValueError("conversion starts from an h = id family")
-    if tri.m_max is not None:
-        raise ValueError("conversion needs full rows")
     new_rows: list[list] = [[1]]
     mfac = [1]
     for m in range(1, tri.n_max + 1):
@@ -255,11 +248,13 @@ def genfun_crosscheck(g: ArithFn, h: str, n_max: int, xs=DEFAULT_EVAL_POINTS) ->
     h = id uses exp(x E(T)); h = one uses 1 / (1 - x G(T)).  Both sides are
     computed independently of the triangle recursion.
     """
+    xs = [Fraction(x) for x in xs]
+    if not xs:
+        raise ValueError("genfun needs at least one evaluation point")
     tri = build_triangle(g, h, n_max)
     polys = [tri.row_poly(n) for n in range(n_max + 1)]
     checked = 0
     for x in xs:
-        x = Fraction(x)
         if h == "id":
             s = (x * eichler_integral(g, n_max)).exp()
         else:
@@ -273,19 +268,19 @@ def genfun_crosscheck(g: ArithFn, h: str, n_max: int, xs=DEFAULT_EVAL_POINTS) ->
                 )
     return CheckResult(
         "genfun", True, checked,
-        note=f"g={g.label} h={h}, n <= {n_max}, {len(tuple(xs))} eval points",
+        note=f"g={g.label} h={h}, n <= {n_max}, {len(xs)} eval points",
     )
 
 
 def euler_product_crosscheck(g: ArithFn, n_max: int, x) -> CheckResult:
     """Compare the h = id family against prod (1 - T^n)^(-x f(n)/n), f = mu * g."""
+    tri = build_triangle(g, "id", n_max)
     x = Fraction(x)
     f = moebius_convolve(g, n_max) if n_max >= 1 else None
     exps = [Fraction(0)] * (n_max + 1)
     for n in range(1, n_max + 1):
         exps[n] = -x * Fraction(f(n)) / n
     s = euler_product(exps, n_max)
-    tri = build_triangle(g, "id", n_max)
     checked = 0
     for n in range(n_max + 1):
         checked += 1

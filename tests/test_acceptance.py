@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from lclab import arith
+from row_identities import row_identity_mismatches
 from lclab.cli import main
 from lclab.concavity import (
     hz_equivalence_check,
@@ -148,6 +149,13 @@ def test_criterion_7_horizontal_at_weight_500():
         clock.seconds,
     )
     assert clock.seconds < 600
+    with _Clock() as clock:
+        mismatches = row_identity_mismatches(tri)
+    _report(
+        7, not mismatches,
+        f"every row n <= 500 matches its closed form at x = 1, -1, -3 ({len(mismatches)} mismatches)",
+        clock.seconds,
+    )
 
 
 def test_criterion_8_vertical_failure_laws():

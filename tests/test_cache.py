@@ -83,12 +83,6 @@ def test_schema_version_checked(tmp_path):
         load_triangle(tmp_path, arith.sigma(), "id", 4)
 
 
-def test_column_limited_not_cached(tmp_path):
-    lim = build_triangle(arith.sigma(), "id", 8, m_max=2)
-    with pytest.raises(ValueError):
-        save_triangle(tmp_path, lim)
-
-
 def test_no_temp_litter(tmp_path):
     save_triangle(tmp_path, build_triangle(arith.one(), "one", 6))
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]

@@ -247,6 +247,19 @@ def test_check_genfun_and_euler(capsys):
     assert code == 0 and out.startswith("PASS euler-product")
 
 
+def test_check_genfun_rejects_empty_point_list(capsys):
+    code, out, err = run(
+        capsys, "check", "genfun", "--g", "sigma", "--h", "id", "--n-max", "3", "--xs", ","
+    )
+    assert (code, out) == (2, "")
+    assert err == "lclab: error: genfun needs at least one evaluation point\n"
+
+
+def test_check_euler_rejects_negative_n_max(capsys):
+    code, out, err = run(capsys, "check", "euler", "--g", "sigma", "--n-max", "-1", "--x", "1")
+    assert (code, out, err) == (2, "", "lclab: error: n_max must be >= 0\n")
+
+
 def test_check_no_identity(capsys):
     code, out, _ = run(capsys, "check", "no-identity", "--n-max", "8")
     assert code == 0

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from lclab import arith
 from lclab.concavity import (
     MAX_WINDOW,
+    _ColumnStream,
     c_vertical_check,
     first_failure_table,
     first_vertical_failure,
@@ -17,6 +18,7 @@ from lclab.concavity import (
     stirling_column_failures,
     stirling_column_first_failure,
     vertical_check,
+    window_scan,
     window_top,
 )
 from lclab.stirling import delta
@@ -48,12 +50,6 @@ def test_horizontal_binomials_pass():
 def test_horizontal_stirling_rows_pass():
     report = horizontal_check(build_triangle(arith.one(), "id", 40))
     assert report.passed
-
-
-def test_horizontal_needs_full_rows():
-    lim = build_triangle(arith.sigma(), "id", 10, m_max=2)
-    with pytest.raises(ValueError):
-        horizontal_check(lim)
 
 
 def test_vertical_first_column_of_stirling_family_fails_everywhere():
@@ -135,6 +131,32 @@ def test_stirling_scan_matches_triangle_scan():
     tri = build_triangle(arith.one(), "id", 60)
     for m in (1, 2, 3):
         assert first_vertical_failure(tri, m) == stirling_column_first_failure(m, 59)
+    # a fresh stream skips ahead to column 5 (Table 1: first failure at 162)
+    assert stirling_column_first_failure(5, 200) == 162
+
+
+def test_column_stream_reads_like_the_triangle():
+    g = arith.sigma()
+    tri = build_triangle(g, "id", 12)
+    stream = _ColumnStream(g, "id", 12, 20)
+    assert (stream.g, stream.h, stream.n_max) == (g, "id", 12)
+    for m in (0, 2, 2, 5, 12, 13, 20):  # gaps, a repeat, past the last row
+        assert stream.column(m) == tri.column(m)
+    with pytest.raises(ValueError, match="already passed"):
+        stream.column(11)
+    with pytest.raises(ValueError, match="m_max must be >= 1 when given"):
+        _ColumnStream(g, "id", 12, 0)
+
+
+@pytest.mark.parametrize(
+    "g, h, C, m_max, include_m1",
+    [(arith.sigma, "id", Fraction(3, 2), 7, False), (arith.one, "id", 2, 6, True),
+     (arith.square, "one", 2, 4, True), (arith.one, "one", Fraction(1, 2), 3, True)],
+)
+def test_window_scan_matches_built_triangle(g, h, C, m_max, include_m1):
+    tri = build_triangle(g(), h, window_top(Fraction(C), m_max) + 1)
+    expected = c_vertical_check(tri, C, m_max, include_m1=include_m1)
+    assert window_scan(g(), h, C, m_max, include_m1=include_m1) == expected
 
 
 def test_delta_sign_decides_second_column():

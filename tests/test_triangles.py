@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lclab import arith
+from row_identities import row_identity_mismatches
 from lclab.series import Series, eichler_integral
 from lclab.triangles import (
     Poly,
@@ -15,6 +17,7 @@ from lclab.triangles import (
     convert,
     euler_product_crosscheck,
     genfun_crosscheck,
+    iter_columns,
 )
 
 
@@ -94,22 +97,31 @@ g_tables = st.one_of(
         st.lists(st.integers(min_value=0, max_value=top), max_size=13).map(lambda rest: [1] + rest)
         for top in (1, 9)
     ),
+    st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=6), max_size=9
+    ).map(lambda rest: [1] + rest),
 )
 
 
 @given(g_tables, st.sampled_from(["one", "id"]), st.sampled_from([None, 1, 2, 5]))
-def test_build_matches_series_power_oracle(values, h, m_max):
+def test_build_matches_series_power_oracle(values, h, k):
     # A(n, m) = [T^n] G^m when h = one and [T^n] E^m / m! when h = id,
-    # with G and E the series of g(n) and g(n)/n
+    # with G and E the series of g(n) and g(n)/n; k limits the check to the
+    # first k columns of iter_columns
     g = arith.from_table(values)
     n_max = len(values)
-    tri = build_triangle(g, h, n_max, m_max=m_max)
+    tri = build_triangle(g, h, n_max)
+    cols = list(islice(iter_columns(g, h, n_max), k))
+    assert len(cols) == (n_max if k is None else min(k, n_max))
     base = Series.from_arith(g, n_max) if h == "one" else eichler_integral(g, n_max)
-    for m in range(1, (n_max if m_max is None else min(m_max, n_max)) + 1):
+    for m, col in enumerate(cols, 1):
         power = base.pow_int(m)
         norm = 1 if h == "one" else math.factorial(m)
+        assert col == tri.column(m)
         for n in range(n_max + 1):
-            assert tri.value(n, m) == power.coefficient(n) / norm, (n, m)
+            assert Fraction(col[n]) / tri.scale(n) == power.coefficient(n) / norm, (n, m)
+    if all(isinstance(v, int) for v in values):
+        assert all(isinstance(b, int) for n in range(n_max + 1) for b in tri.row_scaled(n))
 
 
 def test_outside_and_errors():
@@ -121,20 +133,30 @@ def test_outside_and_errors():
         tri.scaled(7, 1)
     with pytest.raises(ValueError):
         build_triangle(arith.sigma(), "diag", 5)
-    with pytest.raises(ValueError):
-        build_triangle(arith.sigma(), "id", 5, m_max=0)
 
 
-def test_column_limited_build_matches_full():
-    full = build_triangle(arith.sigma(), "id", 25)
-    lim = build_triangle(arith.sigma(), "id", 25, m_max=3)
-    for n in range(1, 26):
-        for m in range(1, min(n, 3) + 1):
-            assert lim.scaled(n, m) == full.scaled(n, m)
-    with pytest.raises(IndexError):
-        lim.scaled(10, 4)
-    with pytest.raises(ValueError):
-        lim.row_poly(10)
+def test_iter_columns_checks_arguments_on_call():
+    for g, h, n_max in ((arith.sigma(), "diag", 5), (arith.sigma(), "id", -1),
+                        (arith.from_table([1, 2]), "id", 5)):
+        with pytest.raises(ValueError):
+            iter_columns(g, h, n_max)  # no next(): the call itself raises
+    assert list(iter_columns(arith.sigma(), "id", 0)) == []
+
+
+def test_columns_of_a_triangle():
+    tri = build_triangle(arith.sigma(), "id", 4)
+    assert tri.column(0) == [1, 0, 0, 0, 0]
+    assert tri.column(2) == [0, 0, 1, 9, 59]
+    assert tri.column(5) == [0] * 5
+    assert list(iter_columns(arith.sigma(), "id", 4)) == [tri.column(m) for m in range(1, 5)]
+
+
+@pytest.mark.parametrize(
+    "make, h", [(arith.sigma, "id"), (arith.one, "id"), (arith.one, "one"), (arith.identity, "one")]
+)
+def test_rows_match_closed_form_row_sums(make, h):
+    # the (sigma, id) family is checked at n = 500 by acceptance criterion 7
+    assert row_identity_mismatches(build_triangle(make(), h, 60)) == []
 
 
 def test_convert_small():
