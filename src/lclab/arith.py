@@ -104,6 +104,8 @@ class ArithFn:
 
     def values(self, limit: int) -> list:
         """Return [0, g(1), ..., g(limit)]; index 0 is a placeholder zero."""
+        if limit < 0:
+            raise ValueError(f"values need a limit >= 0, got {limit}")
         self._ensure(limit)
         return self._vals[: limit + 1]
 

@@ -281,7 +281,7 @@ def _render_first_failures(firsts: list, n_limit: int, fmt: str) -> tuple[str, i
 def _run_horizontal(args) -> ConcavityReport:
     if args.m is not None or args.m_from is not None or args.m_to is not None:
         raise ValueError("column selection applies to vertical checks only")
-    return horizontal_check(build_triangle(parse_g(args.g), args.h, args.n_max))
+    return horizontal_check(_ColumnStream(parse_g(args.g), args.h, args.n_max, args.n_max + 1))
 
 
 def _run_vertical(args) -> ConcavityReport:

@@ -8,20 +8,21 @@ at fixed m, and windowed vertical checks restrict the centers to
 (the window bounds which centers are tested, it does not zero out the
 column past its edge).
 
-Every scan runs through one kernel, _scan, on a plain list: a zero-padded
-row, or a column of a triangle or, for scans given a family, of
-triangles.iter_columns, read without building the triangle.  Comparisons
-never leave the stored entries.  With row scale L_n the column inequality
-A(n, m)^2 >= A(n-1, m) A(n+1, m) is equivalent to
+Every scan runs through one kernel, _scan, over three aligned lines:
+shifted views of one column or of a zero-padded sequence, or columns m-1,
+m and m+1 for rows.  Columns come from a Triangle or, for scans given a
+family, from triangles.iter_columns, read without building the triangle.
+Comparisons never leave the stored entries.  With row scale L_n the
+column inequality A(n, m)^2 >= A(n-1, m) A(n+1, m) is equivalent to
 
     L_(n-1) L_(n+1) B_n^2 >= L_n^2 B_(n-1) B_(n+1),
 
 so the kernel's `weighted` flag (entry n carries the scale n!, as in any
 h = id column) compares (n+1) B_n^2 against n B_(n-1) B_(n+1); unset
 (rows, and h = one columns) all entries share one scale and the plain
-squares are compared.  The kernel rejects negative entries with a
-ValueError naming the entry's (n, m), since log-concavity is not defined
-for them.
+squares are compared.  Each entry a scan reads is checked once: a
+negative one raises a ValueError naming its (n, m), since log-concavity
+is not defined for them.
 
 The Stirling column scans behind Table 1 are column scans of the (one, id)
 triangle, whose stored column m is S(n, m) = n! A(n, m); iter_columns
@@ -37,10 +38,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
 from .arith import ArithFn, one, sigma, tilde
 from .series import eichler_integral
-from .triangles import CheckResult, Triangle, _check_family, build_triangle, iter_columns
+from .triangles import CheckResult, Triangle, _check_family, _crosscheck, iter_columns
 
 
 @dataclass
@@ -80,32 +82,32 @@ class ConcavityReport:
         }
 
 
-def _scan(vals: list, at, weighted: bool = False):
-    """The one log-concavity comparison behind every scan.
-
-    Yields (at(i), failed) for each center 1 <= i <= len(vals) - 2 where
-    vals[i]^2 < vals[i-1] vals[i+1] (failed) or where the two sides are
-    equal between nonzero neighbors (not failed).  at(i) names entry i,
-    (n, m) for a triangle cell.  With weighted set, entry i carries the
-    scale i!, so the sides compare as (i+1) b_i^2 against
-    i b_(i-1) b_(i+1); unset, all entries share one scale.  A negative
-    entry raises ValueError naming its position.
-    """
-    for i, v in enumerate(vals):
+def _nonnegative(line: list, at) -> list:
+    """line, once no entry is negative; at(i) names entry i in the error."""
+    for i, v in enumerate(line):
         if v < 0:
             raise ValueError(
                 f"log-concavity check needs nonnegative entries, but entry {at(i)} is negative"
             )
-    for i in range(1, len(vals) - 1):
-        left, center, right = vals[i - 1], vals[i], vals[i + 1]
-        lhs = center * center
-        rhs = left * right
+    return line
+
+
+def _scan(left, center, right, at, weighted: bool = False):
+    """The one log-concavity comparison behind every scan: over three aligned
+    lines of nonnegative entries, yields (at(i), failed) at each position
+    i = 1, 2, ... where center^2 < left * right (failed) or the two sides
+    are equal between nonzero neighbors (not failed).  With weighted set,
+    the center at position i carries the scale i! and its neighbors
+    (i-1)! and (i+1)!, so (i+1) center^2 is compared with i left * right."""
+    for i, (a, c, b) in enumerate(zip(left, center, right), 1):
+        lhs = c * c
+        rhs = a * b
         if weighted:
             lhs *= i + 1
             rhs *= i
         if lhs < rhs:
             yield at(i), True
-        elif lhs == rhs and left and right:
+        elif lhs == rhs and a and b:
             yield at(i), False
 
 
@@ -131,10 +133,10 @@ class _ColumnStream:
 
 
 def _column(tri, m: int, reach: int):
-    """_scan over column m of tri (a Triangle or a _ColumnStream) at
-    centers 1..reach; row n carries the scale n! when h = id."""
-    col = tri.column(m)[: max(reach + 2, 0)]
-    return _scan(col, lambda n: (n, m), weighted=tri.h == "id")
+    """_scan over shifted views of column m of tri (a Triangle or a
+    _ColumnStream) at centers 1..reach; row n carries the scale n! if h = id."""
+    col = _nonnegative(tri.column(m)[: max(reach + 2, 0)], lambda n: (n, m))
+    return _scan(col, col[1:], col[2:], lambda n: (n, m), weighted=tri.h == "id")
 
 
 def _collect(report: ConcavityReport, hits, edge: int | None = None) -> None:
@@ -155,18 +157,40 @@ def is_logconcave(seq) -> int | None:
     The sequence is zero-extended on both sides.  Negative entries make
     the notion meaningless here, so they raise.
     """
-    hits = _scan([0, *seq, 0], lambda i: i - 1)
+    vals = _nonnegative([0, *seq, 0], lambda i: i - 1)
+    hits = _scan(vals, vals[1:], vals[2:], lambda i: i - 1)
     return next((i for i, failed in hits if failed), None)
 
 
 def horizontal_check(tri: Triangle, n_from: int = 1, n_to: int | None = None) -> ConcavityReport:
-    """Scan rows n_from..n_to for log-concavity in m."""
+    """Scan rows n_from..n_to for log-concavity in m.
+
+    tri is a Triangle or a _ColumnStream.  Column m's centers are compared
+    across columns m-1, m and m+1 at the rows n >= m, so the hits come
+    column by column; they are sorted into row order at the end.
+    """
     n_to = tri.n_max if n_to is None else min(n_to, tri.n_max)
     report = ConcavityReport(
         "horizontal", tri.g.label, tri.h, (n_from, n_to), (1, n_to)
     )
-    for n in range(max(n_from, 1), n_to + 1):
-        _collect(report, _scan([0, *tri.row_scaled(n), 0], lambda m: (n, m)))
+    lo = max(n_from, 1)
+
+    def column(c):
+        return _nonnegative(tri.column(c)[lo : n_to + 1], lambda i: (lo + i, c))
+
+    # Each column is checked for negatives before the next is read.  For a
+    # triangle the recursion builds, that finds the row-major-first negative
+    # entry: if k is the first index with g(k) < 0, rows below k use only
+    # g(1..k-1) and in row k only column 1 carries g(k), so it is (k, 1).
+    # A hand-made Triangle, or n_from > 1, can name another negative entry.
+    left, center = column(0), column(1)
+    for m in range(1, n_to + 1):
+        right, top = column(m + 1), max(lo, m) - lo
+        hits = _scan(left[top:], center[top:], right[top:], lambda i: (lo + top + i - 1, m))
+        _collect(report, hits)
+        left, center = center, right
+    report.failures.sort()
+    report.equalities.sort()
     return report
 
 
@@ -262,6 +286,13 @@ def window_scan(g: ArithFn, h: str, C, m_max: int, *, include_m1: bool = False) 
     return c_vertical_check(stream, C, m_max, include_m1=include_m1)
 
 
+def _stirling_stream(n_limit: int, m_last: int) -> _ColumnStream:
+    """The (one, id) columns to row n_limit + 1, for scans to center n_limit."""
+    if n_limit < 0:
+        raise ValueError("n_max must be >= 0")
+    return _ColumnStream(one(), "id", n_limit + 1, m_last)
+
+
 def stirling_column_first_failure(m: int, n_limit: int) -> int | None:
     """First center where the (one, id) column m fails, via Stirling numbers.
 
@@ -269,7 +300,7 @@ def stirling_column_first_failure(m: int, n_limit: int) -> int | None:
     (n+1) S(n, m)^2 < n S(n-1, m) S(n+1, m).  Returns None when the whole
     range 1..n_limit passes.
     """
-    return first_vertical_failure(_ColumnStream(one(), "id", n_limit + 1, m), m, n_limit)
+    return first_vertical_failure(_stirling_stream(n_limit, m), m, n_limit)
 
 
 def first_failure_table(m_max: int, n_limit: int = 1500) -> list[int | None]:
@@ -278,13 +309,13 @@ def first_failure_table(m_max: int, n_limit: int = 1500) -> list[int | None]:
     One column stream feeds all the scans, so the cost is one
     O(n_limit * m_max) Stirling-rule fill plus the comparisons.
     """
-    stream = _ColumnStream(one(), "id", n_limit + 1, m_max)
+    stream = _stirling_stream(n_limit, m_max)
     return [first_vertical_failure(stream, m, n_limit) for m in range(1, m_max + 1)]
 
 
 def stirling_column_failures(m: int, n_to: int) -> list[int]:
     """All failing centers n <= n_to of the (one, id) column m."""
-    hits = _column(_ColumnStream(one(), "id", n_to + 1, m), m, n_to)
+    hits = _column(_stirling_stream(n_to, m), m, n_to)
     return [n for (n, _), failed in hits if failed]
 
 
@@ -302,26 +333,27 @@ def hz_equivalence_check(m_max: int, n_max: int) -> CheckResult:
 
     Series powers, the geometric triangle of the normalized divisor sum,
     and m! times the exponential divisor-sum triangle must agree entry by
-    entry, and b_(m, n) must vanish for 0 < n < m.
+    entry, and b_(m, n) must vanish for 0 < n < m.  The triangle routes
+    are the first m_max columns of two column streams, zero past n_max.
     """
-    geo = build_triangle(tilde(sigma()), "one", n_max)
-    exp = build_triangle(sigma(), "id", n_max)
-    mfac = 1
-    checked = 0
-    for m in range(1, m_max + 1):
-        mfac *= m
-        b = hong_zhang_coefficients(m, n_max)
-        for n in range(1, n_max + 1):
-            checked += 1
-            from_geo = geo.value(n, m) if m <= n else Fraction(0)
-            from_exp = mfac * exp.value(n, m) if m <= n else Fraction(0)
-            if not (b[n] == from_geo == from_exp):
-                return CheckResult(
-                    "hz-equivalence", False, checked, (n, m),
-                    f"series {b[n]}, geometric {from_geo}, m!*exponential {from_exp}",
-                )
-    return CheckResult(
-        "hz-equivalence", True, checked, note=f"m <= {m_max}, n <= {n_max}"
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
+    geo = _ColumnStream(tilde(sigma()), "one", n_max, max(m_max, 1))
+    exp = _ColumnStream(sigma(), "id", n_max, max(m_max, 1))
+
+    def cells():
+        for m in range(1, m_max + 1):
+            b, geo_col, exp_col = hong_zhang_coefficients(m, n_max), geo.column(m), exp.column(m)
+            for n in range(1, n_max + 1):
+                geo_val = Fraction(geo_col[n])
+                exp_val = Fraction(factorial(m) * exp_col[n], factorial(n))
+                # the series value against both triangle routes at once
+                yield (n, m), (b[n], b[n]), (geo_val, exp_val)
+
+    return _crosscheck(
+        "hz-equivalence", cells(),
+        lambda b, routes: f"series {b[0]}, geometric {routes[0]}, m!*exponential {routes[1]}",
+        f"m <= {m_max}, n <= {n_max}",
     )
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .triangles import CheckResult, Poly, build_triangle
+from .triangles import CheckResult, Poly, _crosscheck, build_triangle
 
 
 def iter_partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -143,15 +143,14 @@ def check_no_identity(n_max: int) -> CheckResult:
     from .arith import sigma
 
     tri = build_triangle(sigma(), "id", n_max)
-    checked = 0
-    for n in range(n_max + 1):
-        lhs = nekrasov_okounkov_poly(n)
-        rhs = taylor_shift(tri.row_poly(n), 1)
-        for m in range(max(lhs.degree, rhs.degree) + 1):
-            checked += 1
-            if lhs.coefficient(m) != rhs.coefficient(m):
-                return CheckResult(
-                    "no-identity", False, checked, (n, m),
-                    f"hook side {lhs.coefficient(m)} vs shifted row {rhs.coefficient(m)}",
-                )
-    return CheckResult("no-identity", True, checked, note=f"n <= {n_max}")
+
+    def cells():
+        for n in range(n_max + 1):
+            lhs = nekrasov_okounkov_poly(n)
+            rhs = taylor_shift(tri.row_poly(n), 1)
+            for m in range(max(lhs.degree, rhs.degree) + 1):
+                yield (n, m), lhs.coefficient(m), rhs.coefficient(m)
+
+    return _crosscheck(
+        "no-identity", cells(), lambda a, b: f"hook side {a} vs shifted row {b}", f"n <= {n_max}"
+    )

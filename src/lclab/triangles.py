@@ -96,6 +96,19 @@ class CheckResult:
         }
 
 
+def _crosscheck(name: str, cells, describe, note: str) -> CheckResult:
+    """The one verdict loop behind the dual-route crosschecks: cells yields
+    (position, value, other), the two routes' values at each compared
+    position in order.  The first position where they differ fails the
+    check with the note describe(value, other); `note` describes a pass."""
+    checked = 0
+    for position, value, other in cells:
+        checked += 1
+        if value != other:
+            return CheckResult(name, False, checked, position, describe(value, other))
+    return CheckResult(name, True, checked, note=note)
+
+
 class Triangle:
     """Integer-scaled coefficient triangle of one family (g, h).
 
@@ -227,16 +240,14 @@ def check_conversion(g: ArithFn, n_max: int) -> CheckResult:
     exp_tri = build_triangle(g, "id", n_max)
     geo_tri = build_triangle(tilde(g), "one", n_max)
     mapped = convert(exp_tri)
-    checked = 0
-    for n in range(1, n_max + 1):
-        for m in range(1, n + 1):
-            checked += 1
-            if mapped.value(n, m) != geo_tri.value(n, m):
-                return CheckResult(
-                    "conversion", False, checked, (n, m),
-                    f"g={g.label}: mapped {mapped.value(n, m)} vs built {geo_tri.value(n, m)}",
-                )
-    return CheckResult("conversion", True, checked, note=f"g={g.label}, n <= {n_max}")
+    cells = (
+        ((n, m), mapped.value(n, m), geo_tri.value(n, m))
+        for n in range(1, n_max + 1) for m in range(1, n + 1)
+    )
+    return _crosscheck(
+        "conversion", cells, lambda a, b: f"g={g.label}: mapped {a} vs built {b}",
+        f"g={g.label}, n <= {n_max}",
+    )
 
 
 DEFAULT_EVAL_POINTS = (Fraction(1), Fraction(2), Fraction(3), Fraction(-1), Fraction(1, 2))
@@ -253,22 +264,19 @@ def genfun_crosscheck(g: ArithFn, h: str, n_max: int, xs=DEFAULT_EVAL_POINTS) ->
         raise ValueError("genfun needs at least one evaluation point")
     tri = build_triangle(g, h, n_max)
     polys = [tri.row_poly(n) for n in range(n_max + 1)]
-    checked = 0
-    for x in xs:
-        if h == "id":
-            s = (x * eichler_integral(g, n_max)).exp()
-        else:
-            s = (Series.one(n_max) - x * Series.from_arith(g, n_max)).inverse()
-        for n in range(n_max + 1):
-            checked += 1
-            if s.coefficient(n) != polys[n](x):
-                return CheckResult(
-                    "genfun", False, checked, (n, x),
-                    f"g={g.label} h={h}: series {s.coefficient(n)} vs row {polys[n](x)}",
-                )
-    return CheckResult(
-        "genfun", True, checked,
-        note=f"g={g.label} h={h}, n <= {n_max}, {len(xs)} eval points",
+
+    def cells():
+        for x in xs:
+            if h == "id":
+                s = (x * eichler_integral(g, n_max)).exp()
+            else:
+                s = (Series.one(n_max) - x * Series.from_arith(g, n_max)).inverse()
+            for n in range(n_max + 1):
+                yield (n, x), s.coefficient(n), polys[n](x)
+
+    return _crosscheck(
+        "genfun", cells(), lambda a, b: f"g={g.label} h={h}: series {a} vs row {b}",
+        f"g={g.label} h={h}, n <= {n_max}, {len(xs)} eval points",
     )
 
 
@@ -281,15 +289,11 @@ def euler_product_crosscheck(g: ArithFn, n_max: int, x) -> CheckResult:
     for n in range(1, n_max + 1):
         exps[n] = -x * Fraction(f(n)) / n
     s = euler_product(exps, n_max)
-    checked = 0
-    for n in range(n_max + 1):
-        checked += 1
-        if s.coefficient(n) != tri.row_poly(n)(x):
-            return CheckResult(
-                "euler-product", False, checked, (n,),
-                f"g={g.label} x={x}: product {s.coefficient(n)} vs row {tri.row_poly(n)(x)}",
-            )
-    return CheckResult("euler-product", True, checked, note=f"g={g.label}, x={x}, n <= {n_max}")
+    cells = (((n,), s.coefficient(n), tri.row_poly(n)(x)) for n in range(n_max + 1))
+    return _crosscheck(
+        "euler-product", cells, lambda a, b: f"g={g.label} x={x}: product {a} vs row {b}",
+        f"g={g.label}, x={x}, n <= {n_max}",
+    )
 
 
 def closed_form_oracle(g_label: str, h: str, n: int, m: int) -> Fraction:
@@ -333,24 +337,15 @@ def closed_forms_check(n_max: int) -> CheckResult:
     closed form."""
     from . import arith
 
-    makers = {
-        "one": arith.one,
-        "id": arith.identity,
-        "square": arith.square,
-        "tilde(one)": lambda: tilde(arith.one()),
-    }
-    checked = 0
-    for g_label, h in CLOSED_FORM_FAMILIES:
-        tri = build_triangle(makers[g_label](), h, n_max)
-        for n in range(1, n_max + 1):
-            for m in range(1, n + 1):
-                checked += 1
-                if tri.value(n, m) != closed_form_oracle(g_label, h, n, m):
-                    return CheckResult(
-                        "closed-forms", False, checked, (n, m),
-                        f"family ({g_label}, {h})",
-                    )
-    return CheckResult(
-        "closed-forms", True, checked,
-        note=f"6 families, n <= {n_max}",
-    )
+    fns = {g.label: g for g in (arith.one(), arith.identity(), arith.square(), tilde(arith.one()))}
+
+    def cells():  # each value carries its family, which names a failure
+        for g_label, h in CLOSED_FORM_FAMILIES:
+            tri = build_triangle(fns[g_label], h, n_max)
+            family = f"family ({g_label}, {h})"
+            for n in range(1, n_max + 1):
+                for m in range(1, n + 1):
+                    oracle = closed_form_oracle(g_label, h, n, m)
+                    yield (n, m), (family, tri.value(n, m)), (family, oracle)
+
+    return _crosscheck("closed-forms", cells(), lambda a, b: a[0], f"6 families, n <= {n_max}")

@@ -3,12 +3,13 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from lclab import arith
+from lclab import arith, cli
 from lclab.cache import entry_name
 from lclab.cli import _ratio_text, ingest_custom_g, main, parse_g, parse_rational, parse_xs
 from lclab.triangles import Triangle, build_triangle
@@ -212,6 +213,26 @@ def test_check_horizontal_pass(capsys):
     )
     assert code == 0
     assert out.startswith("PASS horizontal")
+
+
+def test_check_horizontal_holds_no_triangle(monkeypatch, capsys):
+    # the scan streams columns: its peak stays far below the triangle it scans
+    parser = cli.build_parser()  # built once, so its own allocations stay out
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tri = build_triangle(arith.sigma(), "id", 60)
+        triangle_size = tracemalloc.get_traced_memory()[0] - base
+        del tri
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        code = main(["check", "horizontal", "--g", "sigma", "--h", "id", "--n-max", "60"])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and capsys.readouterr().out.startswith("PASS horizontal")
+    assert peak < triangle_size / 3
 
 
 def test_check_cscan_boundary(capsys):
@@ -510,6 +531,7 @@ COLUMN_SELECTION_CASES = {
     "table1 --m-max 0": (2, "", "lclab: error: m_max must be >= 1 when given\n"),
     "table1 --m-max -1": (2, "", "lclab: error: m_max must be >= 1 when given\n"),
     "table1 --m-max 3 --n-limit -5": (2, "", "lclab: error: n_max must be >= 0\n"),
+    "table1 --m-max 3 --n-limit -1": (2, "", "lclab: error: n_max must be >= 0\n"),
     "cscan --g one --h id --C 0 --m-max 0": (
         2, "", "lclab: error: the window base C must be positive\n",
     ),

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lclab import arith
 from lclab.concavity import (
@@ -127,6 +127,14 @@ def test_stirling_column_failure_scans():
     assert stirling_column_failures(2, 60) == list(range(5, 61))
 
 
+def test_stirling_scans_reject_negative_n_limit():
+    # n_limit = -1 is an error, not an empty range with no failure in it
+    for scan in (stirling_column_first_failure, stirling_column_failures, first_failure_table):
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            scan(2, -1)
+    assert first_failure_table(2, 0) == [None, None]
+
+
 def test_stirling_scan_matches_triangle_scan():
     tri = build_triangle(arith.one(), "id", 60)
     for m in (1, 2, 3):
@@ -186,6 +194,16 @@ def test_hz_zero_below_power():
 
 def test_hz_equivalence():
     assert hz_equivalence_check(6, 16).passed
+
+
+def test_hz_routes_reject_negative_sizes():
+    # a negative size is an error, not a PASS with 0 comparisons or an empty series
+    with pytest.raises(ValueError, match="m_max must be >= 0"):
+        hz_equivalence_check(-1, 10)
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        hz_equivalence_check(3, -1)
+    with pytest.raises(ValueError, match="limit >= 0, got -1"):
+        hong_zhang_coefficients(2, -1)
 
 
 def test_hong_zhang_scan_passes():
@@ -261,6 +279,35 @@ def test_kernel_matches_value_oracle(values, h):
     ]
     report = vertical_check(tri)
     assert (report.failures, report.equalities) == _oracle_hits(tri, col_cells)
+
+
+stream_tables = st.one_of(
+    g_tables,
+    st.lists(st.fractions(min_value=0, max_value=4, max_denominator=4), max_size=9).map(
+        lambda rest: [1] + rest
+    ),
+    st.lists(st.integers(0, 1), max_size=11).map(lambda rest: [1] + rest),
+    st.integers(0, 11).map(lambda k: [1] * (k + 1)),
+)
+
+
+@given(stream_tables, st.sampled_from(["one", "id"]), st.integers(0, 4), st.integers(0, 12))
+@example([1, 0, 5, 0, 0, 1, 0, 9], "id", 1, 8)  # failures in many rows and columns
+@example([1, 1, 0, 2, 0, 0, 0, 2], "id", 2, 8)  # equalities out of column order
+def test_streamed_horizontal_matches_row_major_oracle(values, h, n_from, n_to):
+    # row by row, in row order, on the exact values of the built triangle
+    g = arith.from_table(values)
+    tri = build_triangle(g, h, len(values))
+    n_to = min(n_to, tri.n_max)
+    row_cells = [
+        ((n, m), (n, m - 1), (n, m + 1))
+        for n in range(max(n_from, 1), n_to + 1) for m in range(1, n + 1)
+    ]
+    expected = _oracle_hits(tri, row_cells)
+    for source in (tri, _ColumnStream(g, h, tri.n_max, tri.n_max + 1)):
+        report = horizontal_check(source, n_from, n_to)
+        assert (report.failures, report.equalities) == expected
+        assert (report.n_range, report.m_range) == ((n_from, n_to), (1, n_to))
 
 
 @given(

@@ -81,6 +81,15 @@ def test_eichler_integral_values():
     assert e.coeffs == [0, 1, Fraction(3, 2), Fraction(4, 3), Fraction(7, 4), Fraction(6, 5)]
 
 
+def test_series_of_a_function_reject_negative_order():
+    # order -1 is an error, not an order-0 series
+    for make in (eichler_integral, Series.from_arith):
+        with pytest.raises(ValueError, match="limit >= 0, got -1"):
+            make(arith.sigma(), -1)
+    with pytest.raises(ValueError, match="limit >= 0, got -3"):
+        arith.one().values(-3)
+
+
 def test_euler_product_partition_numbers():
     # all exponents -1 gives the partition generating series
     order = 40
