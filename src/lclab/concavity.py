@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import factorial
 
 from .arith import ArithFn, one, sigma, tilde
-from .series import eichler_integral
+from .series import Series, eichler_integral
 from .triangles import CheckResult, Triangle, _check_family, _crosscheck, iter_columns
 
 
@@ -324,8 +324,22 @@ def hong_zhang_coefficients(m: int, n_max: int) -> list[Fraction]:
     f(q) = sum sigma(n)/n q^n, for n = 0..n_max."""
     if m < 0:
         raise ValueError("power must be >= 0")
+    return list(_divisor_series_power(m, n_max).coeffs)
+
+
+_last_power: tuple = (None, None, None)  # (m, n_max, f^m) of the last call
+
+
+def _divisor_series_power(m: int, n_max: int) -> Series:
+    """f^m to order n_max.  The last power is carried, so a call for m
+    right after the call for m - 1, as hz_equivalence_check makes them
+    column by column, costs one product."""
+    global _last_power
     f = eichler_integral(sigma(), n_max)
-    return list(f.pow_int(m).coeffs)
+    last_m, last_n, power = _last_power
+    power = power * f if (last_m, last_n) == (m - 1, n_max) else f.pow_int(m)
+    _last_power = (m, n_max, power)
+    return power
 
 
 def hz_equivalence_check(m_max: int, n_max: int) -> CheckResult:

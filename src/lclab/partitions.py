@@ -14,10 +14,16 @@ has Q_n(0) = p(n) and equals the weight-n row polynomial of the divisor-sum
 family shifted by one.  check_no_identity verifies that shift identity with
 both sides computed through completely different pipelines (hook products
 versus the coefficient recursion).
+
+By the hook length formula, n! / prod h counts the standard Young tableaux
+of the shape, so prod h divides n! and prod h^2 divides (n!)^2.  Q_n is
+therefore summed in integers over the one denominator (n!)^2, with one
+division per coefficient at the end.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator
 
@@ -100,12 +106,13 @@ def nekrasov_okounkov_poly(n: int) -> Poly:
     """The hook-length polynomial Q_n, summed cell product by cell product.
 
     Each partition contributes prod (x + h^2) / prod h^2 over its hooks;
-    the numerator is expanded with integer coefficients and divided once,
-    so the result is exact.
+    the numerator is expanded with integer coefficients and brought to the
+    common denominator (n!)^2, and the sum is divided once at the end.
     """
     if n < 0:
         raise ValueError("weight must be >= 0")
-    acc = [Fraction(0)] * (n + 1)
+    common = math.factorial(n) ** 2  # a multiple of every prod h^2
+    acc = [0] * (n + 1)
     for parts in iter_partitions(n):
         num = [1]
         den = 1
@@ -117,9 +124,10 @@ def nekrasov_okounkov_poly(n: int) -> Poly:
                 nxt[i] += h2 * c
                 nxt[i + 1] += c
             num = nxt
+        mult = common // den
         for i, c in enumerate(num):
-            acc[i] += Fraction(c, den)
-    return Poly(acc)
+            acc[i] += c * mult
+    return Poly([Fraction(a, common) for a in acc])
 
 
 def taylor_shift(p: Poly, a) -> Poly:

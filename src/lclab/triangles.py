@@ -23,6 +23,17 @@ rule B(n, m) = (n-1) B(n-1, m) + B(n-1, m-1) for h = id and Pascal's
 rule for h = one.  build_triangle collects the columns into rows, and
 exact rational values are recovered on demand by dividing by L_n.
 
+When some value of g is a Fraction, the same loop runs on the integer
+table D g, with D the lcm of g's denominators.  Every entry of column m
+is a sum of products of exactly m values of g, so on D g alone column m
+would be the true column times D^m.  The run keeps each column as an
+integer vector times one rational factor instead: after each column it
+divides the vector by its content (the gcd of its entries) and moves that
+content into the factor, so the integers stay the size of the true
+values.  Entries come out as int where integral and as Fraction
+elsewhere.  Row evaluation (row_at) is integer too: P_n(p/q) is one
+Horner pass over the stored row, then one division.
+
 Two independent generating-function routes reproduce the same rows:
 exp(x E(T)) when h = id and 1 / (1 - x G(T)) when h = one, with E and G the
 series of g(n)/n and g(n).  A third route goes through the Euler product
@@ -151,11 +162,30 @@ class Triangle:
 
     def column(self, m: int) -> list:
         """Column m over n = 0..n_max, scaled; all zero past the triangle."""
-        return [self.scaled(n, m) for n in range(self.n_max + 1)]
+        if m <= 0:
+            return [int(m == 0)] + [0] * self.n_max
+        head = [0] * min(m, self.n_max + 1)
+        return head + [self._rows[n][m - 1] for n in range(m, self.n_max + 1)]
 
     def row_values(self, n: int) -> list[Fraction]:
         ln = self.scale(n)
         return [Fraction(b) / ln for b in self.row_scaled(n)]
+
+    def row_at(self, n: int, x) -> Fraction:
+        """P_n(x), equal to row_poly(n)(x).  With x = p/q in lowest terms,
+        P_n(x) = p * sum of B(n, m) p^(m-1) q^(n-m) / (q^n L_n): one Horner
+        pass over the stored row, in integers when the row is integral, and
+        one division at the end."""
+        row = self.row_scaled(n)
+        if n == 0:
+            return Fraction(row[0])
+        x = Fraction(x)
+        p, q = x.numerator, x.denominator
+        acc, ppow = 0, 1
+        for b in row:  # acc <- acc q + B(n, m) p^(m-1), m ascending
+            acc = acc * q + b * ppow
+            ppow *= p
+        return Fraction(acc * p, q**n * self.scale(n))
 
     def row_poly(self, n: int) -> Poly:
         """P_n as a polynomial."""
@@ -180,27 +210,57 @@ def iter_columns(g: ArithFn, h: str, n_max: int):
     seed column [1, 0, ..., 0].  Arguments are checked, and g's values
     fetched, on the call, not on the first next()."""
     _check_family(h, n_max)
-    return _columns(g.values(n_max), h == "id", n_max)
+    gvals = g.values(n_max)
+    if all(isinstance(v, int) for v in gvals):
+        return _columns(gvals, h == "id", n_max)
+    return _rational_columns(gvals, h == "id", n_max)
 
 
 def _columns(gvals: list, weighted: bool, n_max: int):
     ones = all(v == 1 for v in gvals[1:])
     col = [1] + [0] * n_max
     for m in range(1, n_max + 1):
-        prev, col = col, [0] * (n_max + 1)
-        for n in range(m, n_max + 1):
-            if ones:  # the steps j < n-1 add up to B(n-1, m)
-                start, acc = n - 1, col[n - 1]
-            else:
-                start, acc = m - 1, 0
-            for j in range(start, n):
-                if weighted:
-                    acc *= j
-                b = prev[j]
-                if b:
-                    acc += gvals[n - j] * b
-            col[n] = acc
+        col = _next_column(col, gvals, weighted, ones, m)
         yield col
+
+
+def _rational_columns(gvals: list, weighted: bool, n_max: int):
+    """Columns of a g with Fraction values: the integer kernel runs on the
+    table D g, D the lcm of g's denominators, and column m of the result is
+    the integer vector col times a rational factor.  Each step divides the
+    factor by D and moves the content of col (the gcd of its entries) into
+    it, so col stays the size of the true values."""
+    d = math.lcm(*(Fraction(v).denominator for v in gvals))
+    dg = [int(v * d) for v in gvals]
+    col, factor = [1] + [0] * n_max, Fraction(1)
+    for m in range(1, n_max + 1):
+        col = _next_column(col, dg, weighted, False, m)
+        content = math.gcd(*col)
+        if content > 1:
+            col = [b // content for b in col]
+        factor *= Fraction(content, d)
+        num, den = factor.numerator, factor.denominator
+        yield [_exactify(Fraction(b * num, den)) for b in col]
+
+
+def _next_column(prev: list, gvals: list, weighted: bool, ones: bool, m: int) -> list:
+    """Column m from column m-1 (prev), in Horner form; ones says every
+    value of g is 1."""
+    n_max = len(prev) - 1
+    col = [0] * (n_max + 1)
+    for n in range(m, n_max + 1):
+        if ones:  # the steps j < n-1 add up to B(n-1, m)
+            start, acc = n - 1, col[n - 1]
+        else:
+            start, acc = m - 1, 0
+        for j in range(start, n):
+            if weighted:
+                acc *= j
+            b = prev[j]
+            if b:
+                acc += gvals[n - j] * b
+        col[n] = acc
+    return col
 
 
 def build_triangle(g: ArithFn, h: str, n_max: int) -> Triangle:
@@ -263,7 +323,6 @@ def genfun_crosscheck(g: ArithFn, h: str, n_max: int, xs=DEFAULT_EVAL_POINTS) ->
     if not xs:
         raise ValueError("genfun needs at least one evaluation point")
     tri = build_triangle(g, h, n_max)
-    polys = [tri.row_poly(n) for n in range(n_max + 1)]
 
     def cells():
         for x in xs:
@@ -272,7 +331,7 @@ def genfun_crosscheck(g: ArithFn, h: str, n_max: int, xs=DEFAULT_EVAL_POINTS) ->
             else:
                 s = (Series.one(n_max) - x * Series.from_arith(g, n_max)).inverse()
             for n in range(n_max + 1):
-                yield (n, x), s.coefficient(n), polys[n](x)
+                yield (n, x), s.coefficient(n), tri.row_at(n, x)
 
     return _crosscheck(
         "genfun", cells(), lambda a, b: f"g={g.label} h={h}: series {a} vs row {b}",
@@ -289,7 +348,7 @@ def euler_product_crosscheck(g: ArithFn, n_max: int, x) -> CheckResult:
     for n in range(1, n_max + 1):
         exps[n] = -x * Fraction(f(n)) / n
     s = euler_product(exps, n_max)
-    cells = (((n,), s.coefficient(n), tri.row_poly(n)(x)) for n in range(n_max + 1))
+    cells = (((n,), s.coefficient(n), tri.row_at(n, x)) for n in range(n_max + 1))
     return _crosscheck(
         "euler-product", cells, lambda a, b: f"g={g.label} x={x}: product {a} vs row {b}",
         f"g={g.label}, x={x}, n <= {n_max}",

@@ -118,6 +118,26 @@ def test_hook_polynomial_at_zero_counts_partitions():
         assert nekrasov_okounkov_poly(n)(0) == count_partitions(n)
 
 
+def hook_sum_reference(n):
+    """Q_n summed in Fractions, one term per partition and power of x."""
+    coeffs = [Fraction(0)] * (n + 1)
+    for parts in iter_partitions(n):
+        hooks = [h * h for h in hook_lengths(parts)]
+        # prod (x + h^2) / h^2 = prod (1 + x / h^2), expanded term by term
+        term = [Fraction(1)]
+        for h2 in hooks:
+            shifted = [Fraction(0)] + [c / h2 for c in term]
+            term = [a + b for a, b in zip(term + [Fraction(0)], shifted)]
+        for i, c in enumerate(term):
+            coeffs[i] += c
+    return Poly(coeffs)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_hook_polynomial_matches_fraction_sum(n):
+    assert nekrasov_okounkov_poly(n) == hook_sum_reference(n)
+
+
 def test_hook_polynomial_leading_coefficient():
     for n in range(1, 11):
         assert nekrasov_okounkov_poly(n).coefficient(n) == Fraction(

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lclab import arith
 from row_identities import row_identity_mismatches
@@ -122,6 +122,88 @@ def test_build_matches_series_power_oracle(values, h, k):
             assert Fraction(col[n]) / tri.scale(n) == power.coefficient(n) / norm, (n, m)
     if all(isinstance(v, int) for v in values):
         assert all(isinstance(b, int) for n in range(n_max + 1) for b in tri.row_scaled(n))
+
+
+def fraction_columns(values, h, n_max):
+    """The columns m = 1..n_max of (g, h) by the Horner recursion run in
+    Fraction arithmetic throughout, B(n, m) over n = 0..n_max."""
+    g = [Fraction(0)] + [Fraction(v) for v in values]
+    prev = [Fraction(1)] + [Fraction(0)] * n_max
+    cols = []
+    for m in range(1, n_max + 1):
+        col = [Fraction(0)] * (n_max + 1)
+        for n in range(m, n_max + 1):
+            acc = Fraction(0)
+            for j in range(m - 1, n):
+                acc = acc * (j if h == "id" else 1) + g[n - j] * prev[j]
+            col[n] = acc
+        cols.append(col)
+        prev = col
+    return cols
+
+
+# g(1) = Fraction(1) sends every table down the rational path; integral
+# Fractions alone give D = 1, and zeros occur in all three
+fraction_tables = st.one_of(
+    st.lists(st.integers(min_value=-6, max_value=6).map(Fraction), max_size=10),
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=7), max_size=10),
+    st.lists(
+        st.one_of(
+            st.integers(min_value=-3, max_value=9),
+            st.sampled_from([Fraction(1, 2), Fraction(-2, 3)]),
+        ),
+        max_size=10,
+    ),
+).map(lambda rest: [Fraction(1)] + rest)
+
+
+@given(fraction_tables, st.sampled_from(["one", "id"]))
+@example([Fraction(1), 0, Fraction(0), Fraction(3, 2)], "id")
+@example([Fraction(1), Fraction(4), Fraction(-2)], "one")
+def test_rational_g_columns_match_fraction_horner(values, h):
+    g = arith.from_table(values)
+    n_max = len(values)
+    expected = fraction_columns(values, h, n_max)
+    cols = list(iter_columns(g, h, n_max))
+    tri = build_triangle(g, h, n_max)
+    assert cols == expected
+    assert [tri.column(m) for m in range(1, n_max + 1)] == expected
+    for col in cols:  # integral entries come out as int, the rest as Fraction
+        kinds = [int if Fraction(b).denominator == 1 else Fraction for b in col]
+        assert [type(b) for b in col] == kinds
+
+
+def test_rational_g_columns_of_normalized_divisor_sum():
+    g = arith.tilde(arith.sigma())
+    cols = list(iter_columns(g, "one", 40))
+    assert cols == fraction_columns(g.values(40)[1:], "one", 40)
+    assert cols[1][4] == Fraction(59, 12) and cols[3][4] == 1 and type(cols[3][4]) is int
+
+
+row_tables = st.one_of(
+    st.lists(st.integers(min_value=-4, max_value=9), max_size=9),
+    st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5), max_size=9),
+).map(lambda rest: [1] + rest)
+eval_points = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(min_value=-5, max_value=5).map(Fraction),
+    st.fractions(min_value=-4, max_value=4, max_denominator=9),
+)
+
+
+@given(row_tables, st.sampled_from(["one", "id"]), eval_points)
+@example([1, 2, 3], "id", Fraction(-5, 3))
+def test_row_at_matches_row_poly(values, h, x):
+    tri = build_triangle(arith.from_table(values), h, len(values))
+    for n in range(tri.n_max + 1):
+        assert tri.row_at(n, x) == tri.row_poly(n)(x), n
+
+
+@pytest.mark.parametrize("x", [0, 1, -3, Fraction(-1, 2), Fraction(-7, 4), Fraction(5, 3)])
+def test_row_at_on_built_families(x):
+    for g, h in ((arith.sigma(), "id"), (arith.one(), "one"), (arith.tilde(arith.sigma()), "one")):
+        tri = build_triangle(g, h, 25)
+        assert [tri.row_at(n, x) for n in range(26)] == [tri.row_poly(n)(x) for n in range(26)]
 
 
 def test_outside_and_errors():
