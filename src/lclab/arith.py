@@ -147,7 +147,7 @@ def from_table(values, label: str = "custom", *, key: str | None = None) -> Arit
     The table is the whole domain: asking past the end raises.  g(1) must
     be 1, like every function here.
     """
-    vals = [0] + [v if isinstance(v, int) else Fraction(v) for v in values]
+    vals = [0] + [v if isinstance(v, int) else _fraction(v, "table value") for v in values]
     if len(vals) < 2:
         raise ValueError("custom table needs at least g(1)")
     return ArithFn(label, lambda L: vals[: L + 1], key=key, limit=len(vals) - 1)
@@ -184,6 +184,14 @@ def moebius_convolve(fn: ArithFn, limit: int) -> ArithFn:
         label=f"mu*{fn.label}",
         key=f"mu.{fn.key}",
     )
+
+
+def _fraction(v, what: str) -> Fraction:
+    """v as a Fraction; a float raises instead of turning into the binary
+    fraction it stores (0.1 would be 3602879701896397/36028797018963968)."""
+    if isinstance(v, float):
+        raise ValueError(f"{what} {v!r} is a float; give an int, a Fraction or a 'p/q' string")
+    return Fraction(v)
 
 
 def _exactify(v):

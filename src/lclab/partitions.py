@@ -18,7 +18,11 @@ versus the coefficient recursion).
 By the hook length formula, n! / prod h counts the standard Young tableaux
 of the shape, so prod h divides n! and prod h^2 divides (n!)^2.  Q_n is
 therefore summed in integers over the one denominator (n!)^2, with one
-division per coefficient at the end.
+division per coefficient at the end.  The integer sum has nonnegative
+coefficients, so it is found by Kronecker evaluation: summed once at x = 1
+for a bound on every coefficient, then at x = 2^K with K-bit slots wide
+enough for that bound, one integer product per partition, and the
+coefficients read back from the slots.
 """
 
 from __future__ import annotations
@@ -103,31 +107,33 @@ def hook_lengths(parts: tuple[int, ...]) -> list[int]:
 
 
 def nekrasov_okounkov_poly(n: int) -> Poly:
-    """The hook-length polynomial Q_n, summed cell product by cell product.
+    """The hook-length polynomial Q_n, by Kronecker evaluation.
 
-    Each partition contributes prod (x + h^2) / prod h^2 over its hooks;
-    the numerator is expanded with integer coefficients and brought to the
-    common denominator (n!)^2, and the sum is divided once at the end.
+    (n!)^2 Q_n(X) = sum over partitions of ((n!)^2 / prod h^2) prod (X + h^2)
+    has nonnegative integer coefficients, each at most its value S at
+    X = 1.  With K one more than the bit length of S, the sum is evaluated
+    at X = 2^K, one integer product per partition, and coefficient i is
+    read back from bits iK .. iK+K-1; then each is divided by (n!)^2.
     """
     if n < 0:
         raise ValueError("weight must be >= 0")
     common = math.factorial(n) ** 2  # a multiple of every prod h^2
-    acc = [0] * (n + 1)
-    for parts in iter_partitions(n):
-        num = [1]
-        den = 1
-        for hk in hook_lengths(parts):
-            h2 = hk * hk
-            den *= h2
-            nxt = [0] * (len(num) + 1)
-            for i, c in enumerate(num):
-                nxt[i] += h2 * c
-                nxt[i + 1] += c
-            num = nxt
-        mult = common // den
-        for i, c in enumerate(num):
-            acc[i] += c * mult
-    return Poly([Fraction(a, common) for a in acc])
+
+    def hook_sum(x: int) -> int:
+        total = 0
+        for parts in iter_partitions(n):
+            squares = [hk * hk for hk in hook_lengths(parts)]
+            total += common // math.prod(squares) * math.prod(x + h2 for h2 in squares)
+        return total
+
+    width = hook_sum(1).bit_length() + 1
+    packed = hook_sum(1 << width)
+    mask = (1 << width) - 1
+    coeffs = []
+    for _ in range(n + 1):
+        coeffs.append(Fraction(packed & mask, common))
+        packed >>= width
+    return Poly(coeffs)
 
 
 def taylor_shift(p: Poly, a) -> Poly:

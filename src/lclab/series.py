@@ -4,6 +4,12 @@ A Series holds coefficients c[0..order] of sum c_n T^n modulo T^(order+1).
 Binary operations require both operands to share the same truncation order;
 mixing orders silently would hide precision bugs, so it raises instead.
 
+Coefficients are Fractions, but exp and inverse, the two kernels behind the
+generating-function routes, run their O(order^2) recurrences on ints: each
+output coefficient is an integer over a denominator known in advance (n! d^n
+for exp, c0^(n+1) for inverse), so the loops never reduce a Fraction and
+each coefficient costs one Fraction at the end.
+
 The constructors from_arith and eichler_integral turn an arithmetic
 function g into the two series that generate the polynomial families in
 this package: G(T) = sum g(n) T^n and E(T) = sum g(n)/n T^n.  The Euler
@@ -12,6 +18,7 @@ product helper expands prod (1 - T^n)^e_n through exp and log.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .arith import ArithFn
@@ -101,33 +108,60 @@ class Series:
         """exp of a series with zero constant term.
 
         Solved coefficient by coefficient from E' = a' E:
-        n e_n = sum over k of k a_k e_(n-k).
+        n e_n = sum over k of k a_k e_(n-k).  The recurrence reads only the
+        terms k a_k; with d the lcm of their denominators, e_n = E_n /
+        (n! d^n) for integers E_n, found in Horner form over j = 0..n-1,
+
+            acc <- acc * (j d) + (d k a_k)[k = n-j] * E_j,    E_n = final acc,
+
+        so the loop runs on ints and each e_n costs one Fraction.
         """
-        if self.coeffs[0] != 0:
-            raise ValueError("exp needs constant term 0")
         a = self.coeffs
-        e = [Fraction(1)] + [Fraction(0)] * self.order
-        for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                if a[k]:
-                    acc += k * a[k] * e[n - k]
-            e[n] = acc / n
+        if a[0] != 0:
+            raise ValueError("exp needs constant term 0")
+        order = self.order
+        ka = [k * c for k, c in enumerate(a)]
+        d = math.lcm(*(c.denominator for c in ka))
+        dka = [int(c * d) for c in ka]
+        jd = [j * d for j in range(order)]
+        big = [1] + [0] * order  # E_n
+        e = [Fraction(1)]
+        scale = 1  # n! d^n
+        for n in range(1, order + 1):
+            acc = 0
+            for j in range(n):
+                acc *= jd[j]
+                if dka[n - j] and big[j]:
+                    acc += dka[n - j] * big[j]
+            big[n] = acc
+            scale *= n * d
+            e.append(Fraction(acc, scale))
         return Series(e)
 
     def inverse(self) -> "Series":
-        """Multiplicative inverse; requires a nonzero constant term."""
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        With a = A / d for integers A_k (d the lcm of the denominators) and
+        c0 = A_0, the coefficients are b_n = d Bv_n / c0^(n+1) for the
+        integers Bv_0 = 1, Bv_n = -sum over k of A_k Bv_(n-k) c0^(k-1),
+        found in Horner form over j = 0..n-1: acc <- acc c0 + A_(n-j) Bv_j.
+        """
         a = self.coeffs
         if a[0] == 0:
             raise ValueError("inverse needs a nonzero constant term")
-        inv0 = Fraction(1) / a[0]
-        b = [inv0] + [Fraction(0)] * self.order
+        d = math.lcm(*(c.denominator for c in a))
+        A = [int(c * d) for c in a]
+        c0 = A[0]
+        bv = [1] + [0] * self.order
+        b = [Fraction(d, c0)]
         for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                if a[k]:
-                    acc += a[k] * b[n - k]
-            b[n] = -inv0 * acc
+            acc = 0
+            for j in range(n):
+                acc *= c0
+                if A[n - j] and bv[j]:
+                    acc += A[n - j] * bv[j]
+            bv[n] = -acc
+            b.append(Fraction(d * bv[n], c0 ** (n + 1)))
         return Series(b)
 
     def pow_int(self, exponent: int) -> "Series":

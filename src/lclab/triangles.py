@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import ArithFn, moebius_convolve, tilde, _exactify
+from .arith import ArithFn, moebius_convolve, tilde, _exactify, _fraction
 from .series import Series, eichler_integral, euler_product
 from .stirling import stirling_first
 
@@ -177,9 +177,9 @@ class Triangle:
         pass over the stored row, in integers when the row is integral, and
         one division at the end."""
         row = self.row_scaled(n)
+        x = _fraction(x, "x")
         if n == 0:
             return Fraction(row[0])
-        x = Fraction(x)
         p, q = x.numerator, x.denominator
         acc, ppow = 0, 1
         for b in row:  # acc <- acc q + B(n, m) p^(m-1), m ascending
@@ -296,12 +296,13 @@ def convert(tri: Triangle) -> Triangle:
 
 def check_conversion(g: ArithFn, n_max: int) -> CheckResult:
     """Compare convert(build(g, id)) against an independent build of
-    (g(n)/n, one), entry by entry."""
+    (g(n)/n, one), entry by entry.  Both compared triangles have h = one,
+    so their stored entries are the values themselves."""
     exp_tri = build_triangle(g, "id", n_max)
     geo_tri = build_triangle(tilde(g), "one", n_max)
     mapped = convert(exp_tri)
     cells = (
-        ((n, m), mapped.value(n, m), geo_tri.value(n, m))
+        ((n, m), mapped.scaled(n, m), geo_tri.scaled(n, m))
         for n in range(1, n_max + 1) for m in range(1, n + 1)
     )
     return _crosscheck(
@@ -319,7 +320,7 @@ def genfun_crosscheck(g: ArithFn, h: str, n_max: int, xs=DEFAULT_EVAL_POINTS) ->
     h = id uses exp(x E(T)); h = one uses 1 / (1 - x G(T)).  Both sides are
     computed independently of the triangle recursion.
     """
-    xs = [Fraction(x) for x in xs]
+    xs = [_fraction(x, "evaluation point") for x in xs]
     if not xs:
         raise ValueError("genfun needs at least one evaluation point")
     tri = build_triangle(g, h, n_max)
@@ -341,8 +342,8 @@ def genfun_crosscheck(g: ArithFn, h: str, n_max: int, xs=DEFAULT_EVAL_POINTS) ->
 
 def euler_product_crosscheck(g: ArithFn, n_max: int, x) -> CheckResult:
     """Compare the h = id family against prod (1 - T^n)^(-x f(n)/n), f = mu * g."""
+    x = _fraction(x, "x")
     tri = build_triangle(g, "id", n_max)
-    x = Fraction(x)
     f = moebius_convolve(g, n_max) if n_max >= 1 else None
     exps = [Fraction(0)] * (n_max + 1)
     for n in range(1, n_max + 1):
@@ -393,7 +394,8 @@ CLOSED_FORM_FAMILIES = (
 
 def closed_forms_check(n_max: int) -> CheckResult:
     """Build all six classic families and compare every entry with its
-    closed form."""
+    closed form: B(n, m) = L_n p / q for the closed form p / q, checked as
+    B(n, m) q = p L_n."""
     from . import arith
 
     fns = {g.label: g for g in (arith.one(), arith.identity(), arith.square(), tilde(arith.one()))}
@@ -403,8 +405,10 @@ def closed_forms_check(n_max: int) -> CheckResult:
             tri = build_triangle(fns[g_label], h, n_max)
             family = f"family ({g_label}, {h})"
             for n in range(1, n_max + 1):
+                ln = tri.scale(n)
                 for m in range(1, n + 1):
                     oracle = closed_form_oracle(g_label, h, n, m)
-                    yield (n, m), (family, tri.value(n, m)), (family, oracle)
+                    lhs = tri.scaled(n, m) * oracle.denominator
+                    yield (n, m), (family, lhs), (family, oracle.numerator * ln)
 
     return _crosscheck("closed-forms", cells(), lambda a, b: a[0], f"6 families, n <= {n_max}")

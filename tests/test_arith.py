@@ -45,6 +45,14 @@ def test_custom_table_window_edge():
         arith.from_table([])
 
 
+def test_custom_table_rejects_floats():
+    with pytest.raises(ValueError, match=r"table value 0\.5 is a float"):
+        arith.from_table([1, 0.5, 2])
+    with pytest.raises(ValueError, match=r"table value 1\.0 is a float"):
+        arith.from_table([1.0, 2])
+    assert arith.from_table([1, "1/2", Fraction(2, 3)]).values(3) == [0, 1, Fraction(1, 2), Fraction(2, 3)]
+
+
 def test_domain_validation():
     s = arith.sigma()
     with pytest.raises(ValueError):

@@ -293,6 +293,16 @@ def test_check_hz(capsys):
     assert out.startswith("PASS hong-zhang")
 
 
+def test_check_hz_passes_to_centre_1024(capsys):
+    # the largest window past the paper's range that stays a few seconds
+    code, out, err = run(capsys, "check", "hz", "--C", "2", "--m-max", "10")
+    assert (code, err) == (0, "")
+    assert out == (
+        "PASS hong-zhang: g=sigma h=id m=2..10 centers n<=1024\n"
+        "  C=2 include_m1=False coefficients=divisor-sum series powers\n"
+    )
+
+
 def test_check_table1_text_and_json(capsys):
     code, out, _ = run(capsys, "check", "table1", "--m-max", "4", "--n-limit", "60")
     assert code == 0

@@ -120,6 +120,10 @@ def test_first_failure_table_small():
     assert first_failure_table(2, 3) == [2, None]
 
 
+def test_first_failure_table_past_column_seven():
+    assert first_failure_table(8, 4000) == [2, 5, 17, 54, 162, 469, 1330, 3731]
+
+
 def test_stirling_column_failure_scans():
     assert stirling_column_first_failure(1, 50) == 2
     assert stirling_column_first_failure(2, 50) == 5

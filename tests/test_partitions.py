@@ -133,7 +133,7 @@ def hook_sum_reference(n):
     return Poly(coeffs)
 
 
-@pytest.mark.parametrize("n", range(11))
+@pytest.mark.parametrize("n", range(18))
 def test_hook_polynomial_matches_fraction_sum(n):
     assert nekrasov_okounkov_poly(n) == hook_sum_reference(n)
 

@@ -8,6 +8,10 @@ from lclab.partitions import count_partitions
 from lclab.series import Series, eichler_integral, euler_product
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+# mixed denominators up to 60, with zeros drawn often enough to give runs
+sparse_fractions = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-50, max_value=50, max_denominator=60)
+)
 
 
 @st.composite
@@ -153,3 +157,73 @@ def test_exp_solves_its_ode(a):
     lhs = e.derivative()
     rhs = (a.derivative() * e.truncate(e.order - 1))
     assert lhs == rhs
+
+
+def exp_reference(a: Series) -> Series:
+    """exp by the Fraction recurrence n e_n = sum of k a_k e_(n-k)."""
+    c = a.coeffs
+    e = [Fraction(1)] + [Fraction(0)] * a.order
+    for n in range(1, a.order + 1):
+        acc = Fraction(0)
+        for k in range(1, n + 1):
+            if c[k]:
+                acc += k * c[k] * e[n - k]
+        e[n] = acc / n
+    return Series(e)
+
+
+def inverse_reference(a: Series) -> Series:
+    """1 / a by the Fraction recurrence b_n = -(sum of a_k b_(n-k)) / a_0."""
+    c = a.coeffs
+    inv0 = Fraction(1) / c[0]
+    b = [inv0] + [Fraction(0)] * a.order
+    for n in range(1, a.order + 1):
+        acc = Fraction(0)
+        for k in range(1, n + 1):
+            if c[k]:
+                acc += c[k] * b[n - k]
+        b[n] = -inv0 * acc
+    return Series(b)
+
+
+@given(st.lists(sparse_fractions, min_size=1, max_size=16), st.integers(-3, 3))
+def test_exp_matches_fraction_recurrence(tail, scale):
+    a = Series([0] + tail)
+    assert a.exp() == exp_reference(a)
+    # x E(T) with integer or zero x, the genfun route's shape
+    b = Series([0] + [scale * c for c in tail])
+    assert b.exp() == exp_reference(b)
+
+
+@given(
+    st.lists(sparse_fractions, min_size=0, max_size=15),
+    st.fractions(min_value=-7, max_value=7, max_denominator=9).filter(bool),
+)
+def test_inverse_matches_fraction_recurrence(tail, c0):
+    a = Series([c0] + tail)
+    assert a.inverse() == inverse_reference(a)
+
+
+def test_exp_and_inverse_edge_cases():
+    assert Series([0]).exp() == Series.one(0)
+    assert Series.zero(9).exp() == Series.one(9)
+    for c0 in (1, -1, Fraction(-2, 3), Fraction(5, 4)):
+        assert Series([c0]).inverse() == Series([1 / Fraction(c0)])
+    # zero coefficients between nonzero ones, and x = 0 on the genfun shape
+    gaps = Series([0, 0, 0, Fraction(2, 9), 0, 0, Fraction(-7, 4), 0, 0, 0])
+    assert gaps.exp() == exp_reference(gaps)
+    assert (0 * gaps).exp() == Series.one(9)
+    lead = Series([Fraction(-3, 5), 0, 0, Fraction(1, 6), 0, 0, 0, Fraction(-4, 15)])
+    assert lead.inverse() == inverse_reference(lead)
+    assert (Series.one(8) - 0 * Series.from_arith(arith.sigma(), 8)).inverse() == Series.one(8)
+
+
+def test_exp_and_inverse_on_the_genfun_routes():
+    # the shapes genfun and euler feed in: x E(T), 1 - x G(T) and the
+    # Euler-product log, at an order where the Fraction recurrences are slow
+    order = 60
+    for x in (Fraction(7, 3), Fraction(-5, 12), 4):
+        s = x * eichler_integral(arith.sigma(), order)
+        assert s.exp() == exp_reference(s)
+        t = Series.one(order) - x * Series.from_arith(arith.square(), order)
+        assert t.inverse() == inverse_reference(t)

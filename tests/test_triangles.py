@@ -285,6 +285,22 @@ def test_euler_product_crosscheck_values():
     assert euler_product_crosscheck(arith.square(), 10, -2).passed
 
 
+def test_float_points_are_rejected():
+    # a float would become the binary fraction it stores (0.1 is
+    # 3602879701896397/36028797018963968) and give a verdict on that
+    tri = build_triangle(arith.sigma(), "id", 4)
+    for n in (0, 2):
+        with pytest.raises(ValueError, match=r"x 0\.5 is a float"):
+            tri.row_at(n, 0.5)
+    with pytest.raises(ValueError, match=r"evaluation point 0\.1 is a float"):
+        genfun_crosscheck(arith.sigma(), "id", 4, xs=(1, 0.1))
+    with pytest.raises(ValueError, match=r"x 0\.5 is a float"):
+        euler_product_crosscheck(arith.sigma(), 4, 0.5)
+    # exact spellings of the same points still work
+    assert tri.row_at(2, "1/2") == tri.row_at(2, Fraction(1, 2)) == Fraction(7, 8)
+    assert genfun_crosscheck(arith.sigma(), "id", 4, xs=("1/10",)).passed
+
+
 def test_closed_form_oracle_values():
     assert closed_form_oracle("one", "one", 6, 3) == 10
     assert closed_form_oracle("square", "id", 3, 2) == 2
