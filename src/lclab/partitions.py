@@ -19,10 +19,10 @@ By the hook length formula, n! / prod h counts the standard Young tableaux
 of the shape, so prod h divides n! and prod h^2 divides (n!)^2.  Q_n is
 therefore summed in integers over the one denominator (n!)^2, with one
 division per coefficient at the end.  The integer sum has nonnegative
-coefficients, so it is found by Kronecker evaluation: summed once at x = 1
-for a bound on every coefficient, then at x = 2^K with K-bit slots wide
-enough for that bound, one integer product per partition, and the
-coefficients read back from the slots.
+coefficients, each at most p(n) 2^n (n!)^2, so it is found by Kronecker
+evaluation: summed once at x = 2^K with K-bit slots wide enough for that
+bound, one integer product per partition, and the coefficients read back
+from the slots.
 """
 
 from __future__ import annotations
@@ -111,23 +111,21 @@ def nekrasov_okounkov_poly(n: int) -> Poly:
 
     (n!)^2 Q_n(X) = sum over partitions of ((n!)^2 / prod h^2) prod (X + h^2)
     has nonnegative integer coefficients, each at most its value S at
-    X = 1.  With K one more than the bit length of S, the sum is evaluated
-    at X = 2^K, one integer product per partition, and coefficient i is
-    read back from bits iK .. iK+K-1; then each is divided by (n!)^2.
+    X = 1.  A term at X = 1 is (n!)^2 prod (1 + 1/h^2) <= (n!)^2 2^n, so
+    S <= p(n) 2^n (n!)^2 < 2^K for K the bit length of p(n) (n!)^2 plus
+    n + 1.  The sum is evaluated at X = 2^K, one integer product per
+    partition, and coefficient i is read back from bits iK .. iK+K-1; then
+    each is divided by (n!)^2.
     """
     if n < 0:
         raise ValueError("weight must be >= 0")
     common = math.factorial(n) ** 2  # a multiple of every prod h^2
-
-    def hook_sum(x: int) -> int:
-        total = 0
-        for parts in iter_partitions(n):
-            squares = [hk * hk for hk in hook_lengths(parts)]
-            total += common // math.prod(squares) * math.prod(x + h2 for h2 in squares)
-        return total
-
-    width = hook_sum(1).bit_length() + 1
-    packed = hook_sum(1 << width)
+    width = (count_partitions(n) * common).bit_length() + n + 1
+    x = 1 << width
+    packed = 0
+    for parts in iter_partitions(n):
+        squares = [hk * hk for hk in hook_lengths(parts)]
+        packed += common // math.prod(squares) * math.prod(x + h2 for h2 in squares)
     mask = (1 << width) - 1
     coeffs = []
     for _ in range(n + 1):

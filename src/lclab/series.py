@@ -5,10 +5,16 @@ Binary operations require both operands to share the same truncation order;
 mixing orders silently would hide precision bugs, so it raises instead.
 
 Coefficients are Fractions, but exp and inverse, the two kernels behind the
-generating-function routes, run their O(order^2) recurrences on ints: each
-output coefficient is an integer over a denominator known in advance (n! d^n
-for exp, c0^(n+1) for inverse), so the loops never reduce a Fraction and
-each coefficient costs one Fraction at the end.
+generating-function routes, run their O(order^2) recurrences on ints: the
+n-th coefficient is held as an integer over a scale S_n, where S_(n-1)
+divides S_n, so the loop over earlier coefficients is a Horner sum on ints
+and each coefficient costs one gcd with a small number and one Fraction.
+S_n is S_(n-1) times the part of the step's denominator that the new
+numerator does not cancel, so it stays close to the lcm of the true
+denominators whatever the inputs are: a fixed scale such as n! d^n would
+grow by the bits of d at every step, which for a g with large lcm d (g(k)
+= 1/k: d has about 290 bits at n = 200) makes the integers many times
+longer than the coefficients they stand for.
 
 The constructors from_arith and eichler_integral turn an arithmetic
 function g into the two series that generate the polynomial families in
@@ -108,13 +114,16 @@ class Series:
         """exp of a series with zero constant term.
 
         Solved coefficient by coefficient from E' = a' E:
-        n e_n = sum over k of k a_k e_(n-k).  The recurrence reads only the
-        terms k a_k; with d the lcm of their denominators, e_n = E_n /
-        (n! d^n) for integers E_n, found in Horner form over j = 0..n-1,
+        n e_n = sum over k of k a_k e_(n-k).  With d the lcm of the
+        denominators of the terms k a_k and P_k = d k a_k, e_j = E_j / S_j
+        for integers E_j, S_j with S_(j-1) | S_j and r_j = S_j / S_(j-1).
+        The Horner sum over j = 0..n-1,
 
-            acc <- acc * (j d) + (d k a_k)[k = n-j] * E_j,    E_n = final acc,
+            acc <- acc * r_j + P_(n-j) * E_j,
 
-        so the loop runs on ints and each e_n costs one Fraction.
+        gives e_n = acc / (n d S_(n-1)); with c = gcd(acc, n d), E_n =
+        acc / c and r_n = n d / c.  So the loop runs on ints and each e_n
+        costs one small gcd and one Fraction.
         """
         a = self.coeffs
         if a[0] != 0:
@@ -122,29 +131,33 @@ class Series:
         order = self.order
         ka = [k * c for k, c in enumerate(a)]
         d = math.lcm(*(c.denominator for c in ka))
-        dka = [int(c * d) for c in ka]
-        jd = [j * d for j in range(order)]
+        p = [int(c * d) for c in ka]
         big = [1] + [0] * order  # E_n
+        ratio = [1] * (order + 1)  # r_n
         e = [Fraction(1)]
-        scale = 1  # n! d^n
+        scale = 1  # S_n
         for n in range(1, order + 1):
             acc = 0
             for j in range(n):
-                acc *= jd[j]
-                if dka[n - j] and big[j]:
-                    acc += dka[n - j] * big[j]
-            big[n] = acc
-            scale *= n * d
-            e.append(Fraction(acc, scale))
+                acc *= ratio[j]
+                if p[n - j] and big[j]:
+                    acc += p[n - j] * big[j]
+            step = n * d
+            c = math.gcd(acc, step)
+            big[n], ratio[n] = acc // c, step // c
+            scale *= ratio[n]
+            e.append(Fraction(big[n], scale))
         return Series(e)
 
     def inverse(self) -> "Series":
         """Multiplicative inverse; requires a nonzero constant term.
 
         With a = A / d for integers A_k (d the lcm of the denominators) and
-        c0 = A_0, the coefficients are b_n = d Bv_n / c0^(n+1) for the
-        integers Bv_0 = 1, Bv_n = -sum over k of A_k Bv_(n-k) c0^(k-1),
-        found in Horner form over j = 0..n-1: acc <- acc c0 + A_(n-j) Bv_j.
+        c0 = A_0, b = d / A(T) and the coefficients of 1 / A(T) are V_n / S_n
+        with V_0 = 1, S_0 = c0.  As in exp, S_(n-1) | S_n with r_n =
+        S_n / S_(n-1); the Horner sum acc <- acc r_j + A_(n-j) V_j over
+        j = 0..n-1 gives V_n / S_n = -acc / (c0 S_(n-1)), and with
+        c = gcd(acc, c0), V_n = -acc / c and r_n = c0 / c.
         """
         a = self.coeffs
         if a[0] == 0:
@@ -152,16 +165,20 @@ class Series:
         d = math.lcm(*(c.denominator for c in a))
         A = [int(c * d) for c in a]
         c0 = A[0]
-        bv = [1] + [0] * self.order
+        v = [1] + [0] * self.order  # V_n
+        ratio = [1] * (self.order + 1)  # r_n
+        scale = c0  # S_n
         b = [Fraction(d, c0)]
         for n in range(1, self.order + 1):
             acc = 0
             for j in range(n):
-                acc *= c0
-                if A[n - j] and bv[j]:
-                    acc += A[n - j] * bv[j]
-            bv[n] = -acc
-            b.append(Fraction(d * bv[n], c0 ** (n + 1)))
+                acc *= ratio[j]
+                if A[n - j] and v[j]:
+                    acc += A[n - j] * v[j]
+            c = math.gcd(acc, c0)
+            v[n], ratio[n] = -acc // c, c0 // c
+            scale *= ratio[n]
+            b.append(Fraction(d * v[n], scale))
         return Series(b)
 
     def pow_int(self, exponent: int) -> "Series":

@@ -220,10 +220,14 @@ def test_exp_and_inverse_edge_cases():
 
 def test_exp_and_inverse_on_the_genfun_routes():
     # the shapes genfun and euler feed in: x E(T), 1 - x G(T) and the
-    # Euler-product log, at an order where the Fraction recurrences are slow
+    # Euler-product log, at an order where the Fraction recurrences are slow.
+    # For g(k) = 1/k the lcm d grows with the order, the case where a fixed
+    # scale n! d^n would outgrow the coefficients.
     order = 60
-    for x in (Fraction(7, 3), Fraction(-5, 12), 4):
-        s = x * eichler_integral(arith.sigma(), order)
-        assert s.exp() == exp_reference(s)
-        t = Series.one(order) - x * Series.from_arith(arith.square(), order)
-        assert t.inverse() == inverse_reference(t)
+    recip = arith.from_table([Fraction(1, k) for k in range(1, order + 1)], "recip")
+    for g_exp, g_geo in ((arith.sigma(), arith.square()), (recip, recip)):
+        for x in (Fraction(7, 3), Fraction(-5, 12), 4):
+            s = x * eichler_integral(g_exp, order)
+            assert s.exp() == exp_reference(s)
+            t = Series.one(order) - x * Series.from_arith(g_geo, order)
+            assert t.inverse() == inverse_reference(t)
