@@ -187,11 +187,12 @@ def moebius_convolve(fn: ArithFn, limit: int) -> ArithFn:
 
 
 def _fraction(v, what: str) -> Fraction:
-    """v as a Fraction; a float raises instead of turning into the binary
-    fraction it stores (0.1 would be 3602879701896397/36028797018963968)."""
+    """v as a Fraction (v itself if it is one); a float raises instead of
+    turning into the binary fraction it stores (0.1 would be
+    3602879701896397/36028797018963968)."""
     if isinstance(v, float):
         raise ValueError(f"{what} {v!r} is a float; give an int, a Fraction or a 'p/q' string")
-    return Fraction(v)
+    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 def _exactify(v):

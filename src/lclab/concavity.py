@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .arith import ArithFn, one, sigma, tilde
-from .series import Series, eichler_integral
+from .arith import ArithFn, _fraction, one, sigma, tilde
+from .series import eichler_integral
 from .triangles import CheckResult, Triangle, _check_family, _crosscheck, iter_columns
 
 
@@ -226,12 +226,15 @@ def first_vertical_failure(tri: Triangle, m: int, n_limit: int | None = None) ->
 
 
 def window_top(C: Fraction, m: int) -> int:
-    """floor(C^m), computed exactly from the reduced fraction."""
-    C = Fraction(C)
+    """floor(C^m), computed exactly from the reduced fraction.  For C <= 1
+    no power is needed: the window is 1 when C = 1 or m = 0, else 0."""
+    C = _fraction(C, "the window base C")
     if C <= 0:
         raise ValueError("the window base C must be positive")
     if m < 0:
         raise ValueError(f"the window exponent m must be >= 0, got {m}")
+    if C <= 1:
+        return int(C == 1 or m == 0)
     return C.numerator**m // C.denominator**m
 
 
@@ -249,7 +252,7 @@ def c_vertical_check(
     include_m1 is set.  Columns whose window sticks out past the built
     triangle are scanned as far as possible and flagged as clipped.
     """
-    C = Fraction(C)
+    C = _fraction(C, "the window base C")
     m_from = 1 if include_m1 else 2
     report = ConcavityReport(
         "c-vertical", tri.g.label, tri.h,
@@ -270,14 +273,20 @@ MAX_WINDOW = 4096
 
 def _window_rows(C, m_max: int) -> int:
     """floor(C^m_max) + 1, the rows a windowed scan to column m_max reads;
-    past MAX_WINDOW the quadratic build cost would run away."""
-    top = window_top(C, m_max)
-    if top > MAX_WINDOW:
-        raise ValueError(
-            f"window floor(C^m_max) = {top} exceeds {MAX_WINDOW}; "
-            "scan fewer columns or a smaller C"
-        )
-    return top + 1
+    past MAX_WINDOW the quadratic build cost would run away.  For C > 1 the
+    windows grow with m, so C^k is multiplied up only to the first column k
+    past MAX_WINDOW, and a k before m_max is named without forming C^m_max."""
+    C = _fraction(C, "the window base C")
+    num = den = 1
+    for k in range(1, m_max + 1 if C > 1 else 0):
+        num, den = num * C.numerator, den * C.denominator
+        if num // den > MAX_WINDOW:
+            at, tail = ("m_max", "") if k == m_max else (k, f" from column {k} (m_max = {m_max})")
+            raise ValueError(
+                f"window floor(C^{at}) = {num // den} exceeds {MAX_WINDOW}{tail}; "
+                "scan fewer columns or a smaller C"
+            )
+    return window_top(C, m_max) + 1
 
 
 def window_scan(g: ArithFn, h: str, C, m_max: int, *, include_m1: bool = False) -> ConcavityReport:
@@ -321,25 +330,12 @@ def stirling_column_failures(m: int, n_to: int) -> list[int]:
 
 def hong_zhang_coefficients(m: int, n_max: int) -> list[Fraction]:
     """b_(m, n) = [q^n] f(q)^m for the weight-normalized divisor-sum series
-    f(q) = sum sigma(n)/n q^n, for n = 0..n_max."""
+    f(q) = sum sigma(n)/n q^n, for n = 0..n_max.  f^m is computed afresh
+    on every call, by pow_int on integer products; nothing is carried from
+    one call to the next."""
     if m < 0:
         raise ValueError("power must be >= 0")
-    return list(_divisor_series_power(m, n_max).coeffs)
-
-
-_last_power: tuple = (None, None, None)  # (m, n_max, f^m) of the last call
-
-
-def _divisor_series_power(m: int, n_max: int) -> Series:
-    """f^m to order n_max.  The last power is carried, so a call for m
-    right after the call for m - 1, as hz_equivalence_check makes them
-    column by column, costs one product."""
-    global _last_power
-    f = eichler_integral(sigma(), n_max)
-    last_m, last_n, power = _last_power
-    power = power * f if (last_m, last_n) == (m - 1, n_max) else f.pow_int(m)
-    _last_power = (m, n_max, power)
-    return power
+    return list(eichler_integral(sigma(), n_max).pow_int(m).coeffs)
 
 
 def hz_equivalence_check(m_max: int, n_max: int) -> CheckResult:
@@ -348,7 +344,9 @@ def hz_equivalence_check(m_max: int, n_max: int) -> CheckResult:
     Series powers, the geometric triangle of the normalized divisor sum,
     and m! times the exponential divisor-sum triangle must agree entry by
     entry, and b_(m, n) must vanish for 0 < n < m.  The triangle routes
-    are the first m_max columns of two column streams, zero past n_max.
+    are the first m_max columns of two column streams, zero past n_max;
+    the series route recomputes f^m for each column m through
+    hong_zhang_coefficients, with no power carried between columns.
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")

@@ -31,6 +31,7 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
+from .arith import _fraction
 from .triangles import CheckResult, Poly, _crosscheck, build_triangle
 
 
@@ -136,7 +137,7 @@ def nekrasov_okounkov_poly(n: int) -> Poly:
 
 def taylor_shift(p: Poly, a) -> Poly:
     """p(x + a), by repeated synthetic division; exact and in O(deg^2)."""
-    a = Fraction(a)
+    a = _fraction(a, "shift")
     c = list(p.coeffs)
     d = len(c) - 1
     for i in range(d):

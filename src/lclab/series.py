@@ -4,17 +4,20 @@ A Series holds coefficients c[0..order] of sum c_n T^n modulo T^(order+1).
 Binary operations require both operands to share the same truncation order;
 mixing orders silently would hide precision bugs, so it raises instead.
 
-Coefficients are Fractions, but exp and inverse, the two kernels behind the
-generating-function routes, run their O(order^2) recurrences on ints: the
-n-th coefficient is held as an integer over a scale S_n, where S_(n-1)
-divides S_n, so the loop over earlier coefficients is a Horner sum on ints
-and each coefficient costs one gcd with a small number and one Fraction.
-S_n is S_(n-1) times the part of the step's denominator that the new
-numerator does not cancel, so it stays close to the lcm of the true
-denominators whatever the inputs are: a fixed scale such as n! d^n would
-grow by the bits of d at every step, which for a g with large lcm d (g(k)
-= 1/k: d has about 290 bits at n = 200) makes the integers many times
-longer than the coefficients they stand for.
+Coefficients are Fractions, but the quadratic kernels run on ints.
+Products convolve the two integer vectors of numerators over their lcm
+denominators, with one Fraction per output coefficient.  exp and inverse,
+the two kernels behind the generating-function routes, are both one
+recurrence, _recurrence: the n-th coefficient is held as an integer over a
+scale S_n, where S_(n-1) divides S_n, so the loop over earlier
+coefficients is a Horner sum on ints and each coefficient costs one gcd
+with a small number and one Fraction.  S_n is S_(n-1) times the part of
+the step's denominator that the new numerator does not cancel, so it
+stays close to the lcm of the true denominators whatever the inputs are:
+a fixed scale such as n! d^n would grow by the bits of d at every step,
+which for a g with large lcm d (g(k) = 1/k: d has about 290 bits at n =
+200) makes the integers many times longer than the coefficients they
+stand for.
 
 The constructors from_arith and eichler_integral turn an arithmetic
 function g into the two series that generate the polynomial families in
@@ -27,14 +30,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import ArithFn
+from .arith import ArithFn, _fraction
 
 
 class Series:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        self.coeffs = [_fraction(c, "coefficient") for c in coeffs]
         if not self.coeffs:
             raise ValueError("a series needs at least the constant coefficient")
 
@@ -94,92 +97,44 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, Series):
             self._match(other)
-            order = self.order
-            a, b = self.coeffs, other.coeffs
-            prod = [Fraction(0)] * (order + 1)
+            (a, da), (b, db) = _integers(self.coeffs), _integers(other.coeffs)
+            prod = [0] * len(a)
             for i, ai in enumerate(a):
-                if not ai:
-                    continue
-                for j in range(order + 1 - i):
-                    bj = b[j]
-                    if bj:
-                        prod[i + j] += ai * bj
-            return Series(prod)
+                if ai:
+                    for j, bj in enumerate(b[: len(a) - i], i):
+                        if bj:
+                            prod[j] += ai * bj
+            den = da * db
+            return Series([Fraction(c, den) for c in prod])
         return Series([c * other for c in self.coeffs])
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def exp(self) -> "Series":
-        """exp of a series with zero constant term.
-
-        Solved coefficient by coefficient from E' = a' E:
-        n e_n = sum over k of k a_k e_(n-k).  With d the lcm of the
-        denominators of the terms k a_k and P_k = d k a_k, e_j = E_j / S_j
-        for integers E_j, S_j with S_(j-1) | S_j and r_j = S_j / S_(j-1).
-        The Horner sum over j = 0..n-1,
-
-            acc <- acc * r_j + P_(n-j) * E_j,
-
-        gives e_n = acc / (n d S_(n-1)); with c = gcd(acc, n d), E_n =
-        acc / c and r_n = n d / c.  So the loop runs on ints and each e_n
-        costs one small gcd and one Fraction.
-        """
+        """exp of a series with zero constant term, solved coefficient by
+        coefficient from E' = a' E: n e_n = sum over k of k a_k e_(n-k).
+        With P_k / d = k a_k over their lcm denominator d, that is
+        _recurrence with p = P, divisors n d and scale 1."""
         a = self.coeffs
         if a[0] != 0:
             raise ValueError("exp needs constant term 0")
-        order = self.order
-        ka = [k * c for k, c in enumerate(a)]
-        d = math.lcm(*(c.denominator for c in ka))
-        p = [int(c * d) for c in ka]
-        big = [1] + [0] * order  # E_n
-        ratio = [1] * (order + 1)  # r_n
-        e = [Fraction(1)]
-        scale = 1  # S_n
-        for n in range(1, order + 1):
-            acc = 0
-            for j in range(n):
-                acc *= ratio[j]
-                if p[n - j] and big[j]:
-                    acc += p[n - j] * big[j]
-            step = n * d
-            c = math.gcd(acc, step)
-            big[n], ratio[n] = acc // c, step // c
-            scale *= ratio[n]
-            e.append(Fraction(big[n], scale))
-        return Series(e)
+        p, d = _integers([k * c for k, c in enumerate(a)])
+        return Series(_recurrence(p, [n * d for n in range(len(p))], 1))
 
     def inverse(self) -> "Series":
         """Multiplicative inverse; requires a nonzero constant term.
 
-        With a = A / d for integers A_k (d the lcm of the denominators) and
-        c0 = A_0, b = d / A(T) and the coefficients of 1 / A(T) are V_n / S_n
-        with V_0 = 1, S_0 = c0.  As in exp, S_(n-1) | S_n with r_n =
-        S_n / S_(n-1); the Horner sum acc <- acc r_j + A_(n-j) V_j over
-        j = 0..n-1 gives V_n / S_n = -acc / (c0 S_(n-1)), and with
-        c = gcd(acc, c0), V_n = -acc / c and r_n = c0 / c.
+        With a = A / d over the lcm denominator d and c0 = A_0, the
+        coefficients u_n of 1 / A(T) satisfy u_0 = 1 / c0 and
+        c0 u_n = -sum over k of A_k u_(n-k): _recurrence with p = -A,
+        divisors c0 and scale c0.  Then 1 / a = d u.
         """
-        a = self.coeffs
-        if a[0] == 0:
+        if self.coeffs[0] == 0:
             raise ValueError("inverse needs a nonzero constant term")
-        d = math.lcm(*(c.denominator for c in a))
-        A = [int(c * d) for c in a]
+        A, d = _integers(self.coeffs)
         c0 = A[0]
-        v = [1] + [0] * self.order  # V_n
-        ratio = [1] * (self.order + 1)  # r_n
-        scale = c0  # S_n
-        b = [Fraction(d, c0)]
-        for n in range(1, self.order + 1):
-            acc = 0
-            for j in range(n):
-                acc *= ratio[j]
-                if A[n - j] and v[j]:
-                    acc += A[n - j] * v[j]
-            c = math.gcd(acc, c0)
-            v[n], ratio[n] = -acc // c, c0 // c
-            scale *= ratio[n]
-            b.append(Fraction(d * v[n], scale))
-        return Series(b)
+        return Series([d * u for u in _recurrence([-c for c in A], [c0] * len(A), c0)])
 
     def pow_int(self, exponent: int) -> "Series":
         """Integer power by binary exponentiation (exponent >= 0)."""
@@ -202,6 +157,45 @@ class Series:
         return Series([n * c for n, c in enumerate(self.coeffs)][1:])
 
 
+def _integers(coeffs) -> tuple[list[int], int]:
+    """(ints, d): Fraction coefficients as integers over their lcm
+    denominator d, so that coeffs[k] = ints[k] / d."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _recurrence(p: list[int], divisors: list[int], scale: int) -> list[Fraction]:
+    """x_0 = 1 / scale and x_n = (sum over k = 1..n of p_k x_(n-k)) /
+    divisors[n] for n = 1..len(p) - 1, from integer p and nonzero integer
+    divisors: the one quadratic loop behind Series.exp and Series.inverse.
+
+    x_j is held as X_j / S_j for integers X_j, S_j with X_0 = 1, S_0 =
+    scale, S_(j-1) | S_j and r_j = S_j / S_(j-1).  The Horner sum over
+    j = 0..n-1,
+
+        acc <- acc * r_j + p_(n-j) * X_j,
+
+    gives x_n = acc / (divisors[n] S_(n-1)); with c = gcd(acc, divisors[n]),
+    X_n = acc / c and r_n = divisors[n] / c.  So the loop runs on ints,
+    each x_n costs one small gcd and one Fraction, and S_n grows only by
+    the part of divisors[n] that the new numerator does not cancel.
+    """
+    big = [1] + [0] * (len(p) - 1)  # X_n
+    ratio = [1] * len(p)  # r_n
+    out = [Fraction(1, scale)]
+    for n in range(1, len(p)):
+        acc = 0
+        for j in range(n):
+            acc *= ratio[j]
+            if p[n - j] and big[j]:
+                acc += p[n - j] * big[j]
+        c = math.gcd(acc, divisors[n])
+        big[n], ratio[n] = acc // c, divisors[n] // c
+        scale *= ratio[n]
+        out.append(Fraction(big[n], scale))
+    return out
+
+
 def eichler_integral(fn: ArithFn, order: int) -> Series:
     """E(T) = sum of g(n)/n T^n for n = 1..order."""
     vals = fn.values(order)
@@ -213,7 +207,8 @@ def euler_product(exponents, order: int) -> Series:
 
     Args:
         exponents: sequence where exponents[n] is e_n for 1 <= n <= order
-            (position 0 is ignored).  Entries may be ints or Fractions.
+            (position 0 is ignored).  Entries may be ints or Fractions;
+            a float raises.
         order: truncation order.
 
     Uses exp(sum e_n log(1 - T^n)) with the log expanded termwise, so the
@@ -223,7 +218,7 @@ def euler_product(exponents, order: int) -> Series:
         raise ValueError(f"need exponents up to n = {order}")
     logsum = [Fraction(0)] * (order + 1)
     for n in range(1, order + 1):
-        e_n = exponents[n]
+        e_n = _fraction(exponents[n], f"exponent e_{n}")
         if not e_n:
             continue
         # log(1 - T^n) = -sum over m >= 1 of T^(n m) / m

@@ -60,7 +60,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [_fraction(c, "coefficient") for c in coeffs]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         self.coeffs = cs or [Fraction(0)]
@@ -75,6 +75,7 @@ class Poly:
         return self.coeffs[m] if m <= self.degree else Fraction(0)
 
     def __call__(self, x):
+        x = _fraction(x, "x")
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c

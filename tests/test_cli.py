@@ -3,6 +3,7 @@ import json
 import math
 import os
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -291,6 +292,25 @@ def test_check_hz(capsys):
     code, out, _ = run(capsys, "check", "hz", "--C", "2", "--m-max", "5")
     assert code == 0
     assert out.startswith("PASS hong-zhang")
+
+
+def test_check_hz_rejects_a_far_oversize_window_at_once(capsys):
+    # the first oversize column (21 for C = 3/2) is named; C^m_max is never formed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "hz", "--C", "3/2", "--m-max", "1000000")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 200
+    assert "floor(C^21) = 4987 exceeds 4096 from column 21 (m_max = 1000000)" in err
+
+
+def test_check_cscan_empty_windows_to_column_40000(capsys):
+    # C < 1: every window from column 2 on is empty; no power C^m is formed
+    code, out, err = run(
+        capsys, "check", "cscan", "--g", "one", "--h", "id", "--C", "1/2", "--m-max", "40000"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "PASS c-vertical: g=one h=id m=2..40000 centers n<=0"
 
 
 def test_check_hz_passes_to_centre_1024(capsys):

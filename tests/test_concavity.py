@@ -21,6 +21,7 @@ from lclab.concavity import (
     window_scan,
     window_top,
 )
+from lclab.series import eichler_integral
 from lclab.stirling import delta
 from lclab.triangles import build_triangle
 
@@ -98,6 +99,38 @@ def test_window_top_exact():
         window_top(Fraction(-1), 2)
     with pytest.raises(ValueError, match="exponent m must be >= 0"):
         window_top(Fraction(1, 2), -1)
+
+
+def test_window_top_needs_no_power_below_one():
+    # 0 < C <= 1: the window is 1 at C = 1 or m = 0 and 0 otherwise, at any m
+    big = 10**12
+    assert window_top(Fraction(1), big) == 1
+    assert window_top(Fraction(999, 1000), big) == 0
+    assert window_top(Fraction(1, 2), 0) == window_top(Fraction(7, 9), 0) == 1
+    assert [window_top(Fraction(4, 5), m) for m in range(4)] == [1, 0, 0, 0]
+
+
+def test_window_base_rejects_floats():
+    tri = build_triangle(arith.one(), "id", 8)
+    with pytest.raises(ValueError, match=r"window base C 1\.5 is a float"):
+        window_top(1.5, 2)
+    with pytest.raises(ValueError, match=r"window base C 1\.5 is a float"):
+        c_vertical_check(tri, 1.5, 3)
+    with pytest.raises(ValueError, match=r"window base C 1\.5 is a float"):
+        window_scan(arith.one(), "id", 1.5, 3)
+    assert c_vertical_check(tri, "3/2", 3).passed
+
+
+def test_oversize_window_is_named_at_its_first_column():
+    # 3/2: floor(C^20) = 3325 fits, floor(C^21) = 4987 does not
+    assert window_top(Fraction(3, 2), 20) <= MAX_WINDOW < window_top(Fraction(3, 2), 21)
+    with pytest.raises(ValueError, match=r"^window floor\(C\^m_max\) = 4987 exceeds 4096;"):
+        window_scan(arith.one(), "id", Fraction(3, 2), 21)
+    for m_max in (22, 10**9):
+        with pytest.raises(
+            ValueError, match=rf"= 4987 exceeds 4096 from column 21 \(m_max = {m_max}\);"
+        ):
+            hong_zhang_scan(Fraction(3, 2), m_max)
 
 
 def test_c_vertical_boundary_failure_visible():
@@ -194,6 +227,12 @@ def test_hz_zero_below_power():
         b = hong_zhang_coefficients(m, 12)
         assert all(b[n] == 0 for n in range(m))
         assert all(b[n] > 0 for n in range(m, 13))
+
+
+def test_hong_zhang_coefficients_do_not_depend_on_call_order():
+    f = {n: eichler_integral(arith.sigma(), n) for n in (20, 30)}
+    for m, n_max in ((2, 20), (3, 30), (3, 20), (4, 20), (3, 30), (2, 20)):
+        assert hong_zhang_coefficients(m, n_max) == f[n_max].pow_int(m).coeffs
 
 
 def test_hz_equivalence():

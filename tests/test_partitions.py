@@ -153,6 +153,11 @@ def test_taylor_shift_examples():
     assert taylor_shift(sq, Fraction(1, 2)) == Poly([Fraction(1, 4), 1, 1])
 
 
+def test_taylor_shift_rejects_a_float_shift():
+    with pytest.raises(ValueError, match=r"shift 0\.1 is a float"):
+        taylor_shift(Poly([0, 0, 1]), 0.1)
+
+
 @given(
     st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5), min_size=1, max_size=6),
     st.fractions(min_value=-3, max_value=3, max_denominator=4),

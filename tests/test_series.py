@@ -34,6 +34,45 @@ def test_mul_small_cauchy():
     assert (a * Fraction(1, 2)).coeffs == [Fraction(1, 2), Fraction(1, 2), 0]
 
 
+def mul_reference(a: Series, b: Series) -> Series:
+    """a * b by the Fraction convolution, truncated at a's order."""
+    prod = [Fraction(0)] * (a.order + 1)
+    for i, ai in enumerate(a.coeffs):
+        for j, bj in enumerate(b.coeffs[: a.order + 1 - i]):
+            prod[i + j] += ai * bj
+    return Series(prod)
+
+
+@given(st.data(), st.integers(min_value=0, max_value=15))
+def test_mul_matches_fraction_convolution(data, order):
+    # mixed denominators up to 60; sparse_fractions draws runs of zeros
+    a, b = (
+        Series(data.draw(st.lists(sparse_fractions, min_size=order + 1, max_size=order + 1)))
+        for _ in range(2)
+    )
+    assert a * b == mul_reference(a, b)
+    assert a * a == mul_reference(a, a)
+    zero = Series.zero(order)
+    assert a * zero == zero * a == zero
+
+
+def test_mul_with_zero_runs_and_coprime_denominators():
+    a = Series([0, 0, Fraction(7, 59), 0, 0, 0, Fraction(-11, 60), 0])
+    b = Series([Fraction(5, 49), 0, 0, Fraction(1, 58), 0, 0, 0, Fraction(13, 57)])
+    assert a * b == mul_reference(a, b)
+    assert (a * b).coefficient(5) == Fraction(7, 59 * 58)
+
+
+def test_float_coefficients_and_exponents_are_rejected():
+    # a float would become the binary fraction it stores (0.1 is
+    # 3602879701896397/36028797018963968)
+    with pytest.raises(ValueError, match=r"coefficient 0\.1 is a float"):
+        Series([1, 0.1])
+    with pytest.raises(ValueError, match=r"exponent e_1 0\.5 is a float"):
+        euler_product([0, 0.5, 0], 2)
+    assert Series([1, "1/10"]).coeffs == [1, Fraction(1, 10)]
+
+
 def test_order_mismatch_raises():
     with pytest.raises(ValueError):
         Series([1, 2]) * Series([1, 2, 3])

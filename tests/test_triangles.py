@@ -301,6 +301,15 @@ def test_float_points_are_rejected():
     assert genfun_crosscheck(arith.sigma(), "id", 4, xs=("1/10",)).passed
 
 
+def test_poly_rejects_float_coefficients_and_points():
+    with pytest.raises(ValueError, match=r"coefficient 0\.5 is a float"):
+        Poly([1, 0.5])
+    row = build_triangle(arith.sigma(), "id", 3).row_poly(2)
+    with pytest.raises(ValueError, match=r"x 0\.5 is a float"):
+        row(0.5)
+    assert row("1/2") == row(Fraction(1, 2)) == Fraction(7, 8)
+
+
 def test_closed_form_oracle_values():
     assert closed_form_oracle("one", "one", 6, 3) == 10
     assert closed_form_oracle("square", "id", 3, 2) == 2
