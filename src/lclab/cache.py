@@ -10,11 +10,17 @@ The file is the payload as canonical JSON (sorted keys, compact
 separators), and the checksum is the sha256 of exactly those bytes
 without the leading "checksum" field, so a load checks what it read
 without encoding anything again: any change to the stored bytes fails.
-An entry that does not parse, is not a JSON object, has another schema
-(schema-1 decimal entries included) or does not match its checksum
-raises CacheError.  Writes go through a temp file in the same directory
-followed by an atomic rename, so a crash mid-write never leaves a
-half-file behind.
+Both directions stream.  A save writes a placeholder checksum, then each
+row's bytes to the file and the digest as the row is encoded, and fills
+in the checksum before the rename; it never holds the payload whole.  A
+load reads the file in blocks through the digest and decodes one row at
+a time, so it holds neither the file's bytes nor every row's hex strings.
+Only the exact layout a save writes loads.  Any other file raises
+CacheError naming the first problem: it does not parse, is not a JSON
+object, has another schema (schema-1 decimal entries included), does not
+match its checksum, or is otherwise malformed.  Writes go through a temp
+file in the same directory followed by an atomic rename, so a crash
+mid-write never leaves a half-file behind.
 
 Rows of the recursion do not depend on later rows, so the stored build
 serves every request up to its size, truncated.  A larger request finds
@@ -32,7 +38,9 @@ import os
 import re
 import tempfile
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
+from typing import NoReturn
 
 from .arith import ArithFn, _exactify
 from .triangles import Triangle
@@ -41,7 +49,11 @@ SCHEMA_VERSION = 2
 ENV_VAR = "LCLAB_CACHE"
 
 # every file starts with its checksum: "checksum" sorts before the other keys
-_HEAD_RE = re.compile(rb'\{"checksum":"([0-9a-f]{64})",')
+_CHECKSUM = b'{"checksum":"'
+_HEAD_RE = re.compile(re.escape(_CHECKSUM) + rb'([0-9a-f]{64})",')
+_ROWS = b'"rows":['
+_TAIL = b',"schema":%d}' % SCHEMA_VERSION
+_BLOCK = 1 << 13
 
 
 class CacheError(Exception):
@@ -69,19 +81,105 @@ def _decode(text: str):
     return int(text, 16)
 
 
-def _serialise(tri: Triangle) -> bytes:
-    body = {
-        "schema": SCHEMA_VERSION,
-        "kind": "triangle",
-        "g": tri.g.key,
-        "g_label": tri.g.label,
-        "h": tri.h,
-        "n_max": tri.n_max,
-        "rows": [[_encode(v) for v in tri.row_scaled(n)] for n in range(tri.n_max + 1)],
-    }
-    blob = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
-    digest = hashlib.sha256(blob).hexdigest().encode()
-    return b'{"checksum":"' + digest + b'",' + blob[1:]
+def _payload(tri: Triangle):
+    """The canonical entry without its checksum field and leading '{', in
+    pieces: the header fields, one piece per row, the tail.  Joined, they
+    are json.dumps(body, sort_keys=True, separators=(",", ":")) minus its
+    first byte; the cells are hex digits, '-' and '/', which JSON does not
+    escape."""
+    head = {"g": tri.g.key, "g_label": tri.g.label, "h": tri.h, "kind": "triangle", "n_max": tri.n_max}
+    yield json.dumps(head, sort_keys=True, separators=(",", ":"))[1:-1].encode() + b"," + _ROWS
+    for n in range(tri.n_max + 1):
+        cells = '","'.join(_encode(v) for v in tri.row_scaled(n))
+        yield f'{"," if n else ""}["{cells}"]'.encode()
+    yield b"]" + _TAIL
+
+
+def save_triangle(directory, tri: Triangle) -> Path:
+    """Write tri to the cache directory, atomically, one row at a time."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    target = directory / entry_name(tri.g.key, tri.h)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_CHECKSUM + b"0" * 64 + b'",')
+            digest = hashlib.sha256(b"{")
+            for piece in _payload(tri):
+                digest.update(piece)
+                fh.write(piece)
+            fh.seek(len(_CHECKSUM))
+            fh.write(digest.hexdigest().encode())
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+    return target
+
+
+def _pieces(fh, buf: bytearray, digest):
+    """The rest of fh after buf, which holds its start, split at each ']',
+    then the text after the last one.  Every block read goes through the
+    digest."""
+    pos = seen = 0
+    while True:
+        end = buf.find(b"]", seen)
+        if end >= 0:
+            yield buf[pos:end]
+            pos = seen = end + 1
+            continue
+        block = fh.read(_BLOCK)
+        del buf[:pos]
+        if not block:
+            yield buf
+            return
+        digest.update(block)
+        pos, seen = 0, len(buf)
+        buf += block
+
+
+def _read_canonical(fh, n_max: int):
+    """(header fields, rows 0..n_max decoded) of an entry exactly as
+    save_triangle writes it, or rows None when it holds a smaller build.
+    None for any other file, one whose checksum fails included."""
+    buf = bytearray(fh.read(_BLOCK))
+    head = _HEAD_RE.match(buf)
+    if head is None:
+        return None
+    checksum, body = head.group(1), head.end()  # before buf changes under head
+    # the first ,"rows":[ ends the header: inside a JSON string a quote is escaped
+    while (start := buf.find(b"," + _ROWS)) < 0:
+        block = fh.read(_BLOCK)
+        if not block:
+            return None
+        buf += block
+    digest = hashlib.sha256(b"{")
+    digest.update(buf[body:])
+    try:
+        fields = json.loads(b"{" + buf[body:start] + b"}")
+    except ValueError:
+        return None
+    stored = fields.get("n_max")
+    if not isinstance(stored, int):
+        return None
+    del buf[: start + 1 + len(_ROWS)]
+    pieces = _pieces(fh, buf, digest)
+    rows = [] if stored >= n_max else None
+    for n in range(stored + 1):
+        piece = next(pieces, b"")
+        if not piece.startswith(b",[" if n else b"["):
+            return None
+        if rows is not None and n <= n_max:
+            try:
+                rows.append([_decode(v) for v in json.loads(piece[1 if n else 0 :] + b"]")])
+            except (TypeError, ValueError, ZeroDivisionError):
+                return None
+    if list(islice(pieces, 3)) != [b"", _TAIL]:  # "]", the tail, the end
+        return None
+    if digest.hexdigest().encode() != checksum:
+        return None
+    return fields, rows
 
 
 def _checksum_ok(data: bytes) -> bool:
@@ -93,25 +191,9 @@ def _checksum_ok(data: bytes) -> bool:
     return digest.hexdigest().encode() == head.group(1)
 
 
-def save_triangle(directory, tri: Triangle) -> Path:
-    """Write tri to the cache directory, atomically."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    target = directory / entry_name(tri.g.key, tri.h)
-    data = _serialise(tri)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return target
-
-
-def _parse_entry(path: Path, g: ArithFn, h: str, n_max: int) -> Triangle | None:
+def _raise_unusable(path: Path) -> NoReturn:
+    """Raise CacheError with the first problem of a file that is not an
+    entry as save_triangle writes it."""
     try:
         data = path.read_bytes()
         body = json.loads(data)
@@ -123,21 +205,24 @@ def _parse_entry(path: Path, g: ArithFn, h: str, n_max: int) -> Triangle | None:
         raise CacheError(f"{path.name}: schema {body.get('schema')!r}, expected {SCHEMA_VERSION}")
     if not _checksum_ok(data):
         raise CacheError(f"{path.name}: checksum mismatch")
-    if body.get("g") != g.key or body.get("h") != h:
+    raise CacheError(f"{path.name}: malformed entry")
+
+
+def _parse_entry(path: Path, g: ArithFn, h: str, n_max: int) -> Triangle | None:
+    try:
+        with open(path, "rb") as fh:
+            entry = _read_canonical(fh, n_max)
+    except OSError as exc:
+        raise CacheError(f"{path.name}: unreadable ({exc})") from exc
+    if entry is None:
+        _raise_unusable(path)
+    fields, rows = entry
+    if fields.get("g") != g.key or fields.get("h") != h:
         raise CacheError(
-            f"{path.name}: cached family ({body.get('g')!r}, {body.get('h')!r}), "
+            f"{path.name}: cached family ({fields.get('g')!r}, {fields.get('h')!r}), "
             f"expected ({g.key!r}, {h!r})"
         )
-    try:
-        stored = body["n_max"]
-        if len(body["rows"]) != stored + 1:
-            raise CacheError(f"{path.name}: row count off")
-        if stored < n_max:
-            return None
-        rows = [[_decode(v) for v in row] for row in body["rows"][: n_max + 1]]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise CacheError(f"{path.name}: malformed rows ({exc})") from exc
-    return Triangle(g, h, rows)
+    return None if rows is None else Triangle(g, h, rows)
 
 
 def load_triangle(directory, g: ArithFn, h: str, n_max: int) -> Triangle | None:

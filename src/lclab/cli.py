@@ -3,7 +3,8 @@
 Two top-level commands: `triangle` prints a built coefficient triangle in
 table, json, or csv form; `check` runs one of the named verification or
 scan routines and exits 0 on pass, 1 when failures were found, 2 on usage
-or input errors.  All output goes to stdout unless --out FILE is given.
+or input errors.  All output goes to stdout unless --out FILE is given;
+`triangle` writes each row as it is formatted, never the whole text.
 
 Machine formats encode every rational as a "p/q" (or plain integer)
 string, never as a float.  The triangle cache directory comes from
@@ -21,6 +22,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TextIO
 
 from . import arith
 from .arith import ArithFn, from_table, _exactify
@@ -136,50 +138,45 @@ def _ratio_text(b, scale: int) -> str:
     return str(b // d) if d == scale else f"{b // d}/{scale // d}"
 
 
-def format_triangle(tri: Triangle, fmt: str, scaled: bool = False) -> str:
-    """Render a triangle.  Rows are printed for n = 0..n_max with entries
-    in ascending m; --scaled swaps in the integer-scaled entries and adds
-    the per-row scale."""
-    if scaled:
-        rows = [[str(v) for v in tri.row_scaled(n)] for n in range(tri.n_max + 1)]
-        scales = [str(tri.scale(n)) for n in range(tri.n_max + 1)]
-    else:
-        rows = [["1"]]
-        for n in range(1, tri.n_max + 1):
-            scale = tri.scale(n)
-            rows.append([_ratio_text(b, scale) for b in tri.row_scaled(n)])
-        scales = None
-    if fmt == "table":
-        lines = [f"# g={tri.g.label} h={tri.h} n_max={tri.n_max}"
-                 + (" (integer-scaled)" if scaled else "")]
-        for n, row in enumerate(rows):
-            prefix = f"{n}:"
-            if scales:
-                prefix += f" [x{scales[n]}]" if tri.h == "id" else ""
-            lines.append(f"{prefix} " + " ".join(row))
-        return "\n".join(lines)
+def format_triangle(tri: Triangle, fmt: str, scaled: bool, fh: TextIO) -> None:
+    """Write a triangle to the text file fh, one line per row as the row is
+    formatted.  Rows are printed for n = 0..n_max with entries in ascending
+    m; --scaled swaps in the integer-scaled entries and adds the per-row
+    scale.  The json form is written by hand, byte for byte what
+    json.dumps(body, indent=2) gives: the cells are digits, '-' and '/'
+    only, and the header strings go through json.dumps for their escapes."""
+    if fmt not in ("table", "json", "csv"):
+        raise ValueError(f"unknown format {fmt!r}")
+
+    def cells(n: int) -> list[str]:
+        if scaled:
+            return [str(v) for v in tri.row_scaled(n)]
+        scale = tri.scale(n)
+        return [_ratio_text(b, scale) for b in tri.row_scaled(n)]
+
+    last = tri.n_max
     if fmt == "json":
-        body = {
-            "schema": 1,
-            "g": tri.g.label,
-            "h": tri.h,
-            "n_max": tri.n_max,
-            "scaled": scaled,
-            "rows": rows,
-        }
-        if scales:
-            body["scales"] = scales
-        return json.dumps(body, indent=2)
-    if fmt == "csv":
-        lines = []
-        for n, row in enumerate(rows):
-            cells = [str(n)]
-            if scales:
-                cells.append(scales[n])
-            cells.extend(row)
-            lines.append(",".join(cells))
-        return "\n".join(lines)
-    raise ValueError(f"unknown format {fmt!r}")
+        head = {"schema": 1, "g": tri.g.label, "h": tri.h, "n_max": last, "scaled": scaled}
+        fh.write(json.dumps(head, indent=2)[: -len("\n}")] + ',\n  "rows": [\n')
+        for n in range(last + 1):
+            fh.write('    [\n      "' + '",\n      "'.join(cells(n)) + '"\n    ]')
+            fh.write(",\n" if n < last else "\n  ]")
+        if scaled:
+            fh.write(',\n  "scales": [\n')
+            for n in range(last + 1):
+                fh.write(f'    "{tri.scale(n)}"' + (",\n" if n < last else "\n  ]"))
+        fh.write("\n}\n")
+        return
+    if fmt == "table":
+        fh.write(f"# g={tri.g.label} h={tri.h} n_max={last}"
+                 + (" (integer-scaled)\n" if scaled else "\n"))
+    for n in range(last + 1):
+        if fmt == "csv":
+            head = f"{n},{tri.scale(n)}," if scaled else f"{n},"
+            fh.write(head + ",".join(cells(n)) + "\n")
+        else:
+            head = f"{n}: [x{tri.scale(n)}] " if scaled and tri.h == "id" else f"{n}: "
+            fh.write(head + " ".join(cells(n)) + "\n")
 
 
 def cmd_triangle(args) -> int:
@@ -196,7 +193,11 @@ def cmd_triangle(args) -> int:
         if cache_dir:
             # a miss, a smaller build or a corrupt entry: the rebuild replaces it
             save_triangle(cache_dir, tri)
-    _emit(format_triangle(tri, args.format, args.scaled), args.out)
+    if args.out:
+        with open(args.out, "w") as fh:
+            format_triangle(tri, args.format, args.scaled, fh)
+    else:
+        format_triangle(tri, args.format, args.scaled, sys.stdout)
     return 0
 
 

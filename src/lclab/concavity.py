@@ -231,6 +231,8 @@ def window_top(C: Fraction, m: int) -> int:
     C = _fraction(C, "the window base C")
     if C <= 0:
         raise ValueError("the window base C must be positive")
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise ValueError(f"the window exponent m must be an int, got {m!r}")
     if m < 0:
         raise ValueError(f"the window exponent m must be >= 0, got {m}")
     if C <= 1:

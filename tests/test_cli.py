@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -234,6 +235,42 @@ def test_check_horizontal_holds_no_triangle(monkeypatch, capsys):
         tracemalloc.stop()
     assert code == 0 and capsys.readouterr().out.startswith("PASS horizontal")
     assert peak < triangle_size / 3
+
+
+@pytest.mark.parametrize("run_kind", ["cold", "warm"])
+def test_triangle_holds_one_row_of_text(run_kind, tmp_path, monkeypatch):
+    # the render, the cache write and the cache read stream one row at a
+    # time: beyond the triangle itself, a run holds well under the text it
+    # writes, so no whole copy of that text, of the cache file or of its
+    # hex strings
+    parser = cli.build_parser()  # built once, so its own allocations stay out
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    monkeypatch.delenv("LCLAB_CACHE", raising=False)
+    out, cache_dir = tmp_path / "tri.json", tmp_path / "c"
+    argv = ["triangle", "--g", "sigma", "--h", "id", "--n", "60", "--format", "json",
+            "--out", str(out), "--cache", str(cache_dir)]
+    if run_kind == "warm":
+        assert main(argv) == 0
+        entry = cache_dir / entry_name("sigma", "id")
+        stamp = entry.stat().st_mtime_ns
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tri = build_triangle(arith.sigma(), "id", 60)
+        triangle_size = tracemalloc.get_traced_memory()[0] - base
+        del tri
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    if run_kind == "warm":  # a hit: the entry was read, not rewritten
+        assert entry.stat().st_mtime_ns == stamp
+    rendered = out.stat().st_size
+    assert rendered > triangle_size  # unscaled json of n = 60: about 134 KB
+    assert peak - triangle_size < rendered / 2
 
 
 def test_check_cscan_boundary(capsys):
@@ -480,6 +517,65 @@ def test_main_restores_int_str_limit(capsys):
 def test_ratio_text_matches_fraction_str(b, n, h):
     scale = Triangle(arith.one(), h, [[1]]).scale(n)
     assert _ratio_text(b, scale) == str(Fraction(b) / scale)
+
+
+# a custom label needing JSON escapes: a quote, a backslash, a non-ASCII letter
+ODD_LABEL = 'custom:q"b\\ü.txt'
+
+# name -> (g, h, n_max): both h, n = 0, Fraction-valued g, an escaped label
+RENDER_CASES = {
+    "sigma-id": (arith.sigma, "id", 9),
+    "sigma-id-n0": (arith.sigma, "id", 0),
+    "square-one": (arith.square, "one", 7),
+    "tilde_sigma-one": (lambda: arith.tilde(arith.sigma()), "one", 7),
+    "tilde_sigma-id": (lambda: arith.tilde(arith.sigma()), "id", 6),
+    "odd_label-id": (lambda: arith.from_table([1, Fraction(3, 2), -2, 5], ODD_LABEL), "id", 4),
+}
+
+
+def _whole_render(tri, fmt, scaled):
+    """The reference for the streamed render: every row's cells in lists,
+    joined whole, json by json.dumps."""
+    rows, scales = [], None
+    for n in range(tri.n_max + 1):
+        if scaled:
+            rows.append([str(v) for v in tri.row_scaled(n)])
+        else:
+            rows.append([str(Fraction(b) / tri.scale(n)) for b in tri.row_scaled(n)])
+    if scaled:
+        scales = [str(tri.scale(n)) for n in range(tri.n_max + 1)]
+    if fmt == "json":
+        body = {"schema": 1, "g": tri.g.label, "h": tri.h, "n_max": tri.n_max,
+                "scaled": scaled, "rows": rows}
+        if scales:
+            body["scales"] = scales
+        return json.dumps(body, indent=2) + "\n"
+    if fmt == "csv":
+        return "".join(",".join([str(n)] + ([scales[n]] if scales else []) + row) + "\n"
+                       for n, row in enumerate(rows))
+    text = f"# g={tri.g.label} h={tri.h} n_max={tri.n_max}" + (" (integer-scaled)" if scaled else "")
+    for n, row in enumerate(rows):
+        scale = f" [x{scales[n]}]" if scales and tri.h == "id" else ""
+        text += f"\n{n}:{scale} " + " ".join(row)
+    return text + "\n"
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["values", "scaled"])
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("case", list(RENDER_CASES))
+def test_streamed_render_matches_whole_render(case, fmt, scaled):
+    g, h, n_max = RENDER_CASES[case]
+    tri = build_triangle(g(), h, n_max)
+    out = io.StringIO()
+    assert cli.format_triangle(tri, fmt, scaled, out) is None
+    assert out.getvalue() == _whole_render(tri, fmt, scaled)
+
+
+def test_streamed_render_rejects_unknown_format_before_writing():
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        cli.format_triangle(build_triangle(arith.one(), "id", 3), "xml", False, out)
+    assert out.getvalue() == ""
 
 
 def _tilde_sigma_table(path, n):

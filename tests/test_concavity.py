@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,13 @@ def test_window_top_exact():
         window_top(Fraction(-1), 2)
     with pytest.raises(ValueError, match="exponent m must be >= 0"):
         window_top(Fraction(1, 2), -1)
+
+
+@pytest.mark.parametrize("m", [2.5, 2.0, Fraction(5, 2), True, "3"])
+def test_window_top_rejects_a_non_int_exponent(m):
+    # a power with a float exponent would be the float floor((3/2)^2.5) = 2.0
+    with pytest.raises(ValueError, match=rf"exponent m must be an int, got {re.escape(repr(m))}$"):
+        window_top(Fraction(3, 2), m)
 
 
 def test_window_top_needs_no_power_below_one():
