@@ -9,6 +9,7 @@ normalization g(n)/n and the Moebius transform mu * g.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -158,7 +159,7 @@ def tilde(fn: ArithFn) -> ArithFn:
 
     def fill(limit):
         base = fn.values(limit)
-        return [0] + [_exactify(Fraction(base[n], n)) for n in range(1, limit + 1)]
+        return [0] + [_ratio(base[n], n) for n in range(1, limit + 1)]
 
     return ArithFn(
         f"tilde({fn.label})", fill, key=f"tilde.{fn.key}", limit=fn._limit
@@ -180,7 +181,7 @@ def moebius_convolve(fn: ArithFn, limit: int) -> ArithFn:
         for n in range(d, limit + 1, d):
             f[n] += mu[d] * g[n // d]
     return from_table(
-        [_exactify(v) for v in f[1:]],
+        [_ratio(v) for v in f[1:]],
         label=f"mu*{fn.label}",
         key=f"mu.{fn.key}",
     )
@@ -195,8 +196,18 @@ def _fraction(v, what: str) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
-def _exactify(v):
-    """Collapse integral fractions to int, leave everything else alone."""
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return int(v)
-    return v
+def _integers(values) -> tuple[list[int], int]:
+    """(ints, d) with values[k] = ints[k] / d, d the lcm of the denominators
+    of the int and Fraction values.  For d = 1 nothing is multiplied: the
+    ints are the values' own numerators (int.numerator is the int itself)."""
+    d = math.lcm(*{v.denominator for v in values})
+    if d == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _ratio(num, den=1):
+    """num / den exactly, for int or Fraction num and nonzero int den: an
+    int where the value is integral, a Fraction elsewhere."""
+    v = Fraction(num, den)
+    return v.numerator if v.denominator == 1 else v

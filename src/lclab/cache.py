@@ -37,12 +37,11 @@ import json
 import os
 import re
 import tempfile
-from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 from typing import NoReturn
 
-from .arith import ArithFn, _exactify
+from .arith import ArithFn, _ratio
 from .triangles import Triangle
 
 SCHEMA_VERSION = 2
@@ -77,7 +76,7 @@ def _encode(v) -> str:
 def _decode(text: str):
     if "/" in text:
         p, q = text.split("/")
-        return _exactify(Fraction(int(p, 16), int(q, 16)))
+        return _ratio(int(p, 16), int(q, 16))
     return int(text, 16)
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import TextIO
 
 from . import arith
-from .arith import ArithFn, from_table, _exactify
+from .arith import ArithFn, from_table, _ratio
 from .cache import ENV_VAR, CacheError, load_triangle, save_triangle
 from .concavity import (
     ConcavityReport,
@@ -92,7 +92,7 @@ def ingest_custom_g(path: str) -> ArithFn:
         if not text:
             continue
         try:
-            values.append(_exactify(Fraction(text)))
+            values.append(_ratio(Fraction(text)))
         except (ValueError, ZeroDivisionError):
             raise ValueError(
                 f"{path}:{lineno}: cannot parse {text!r} as an integer or p/q"
@@ -131,11 +131,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _ratio_text(b, scale: int) -> str:
-    """str(Fraction(b) / scale), with one gcd and no Fraction for int b."""
-    if not isinstance(b, int):
-        return str(Fraction(b) / scale)
-    d = math.gcd(b, scale)
-    return str(b // d) if d == scale else f"{b // d}/{scale // d}"
+    """str(Fraction(b) / scale) for int or Fraction b, with one gcd and no
+    Fraction."""
+    num, den = b.numerator, b.denominator * scale
+    d = math.gcd(num, den)
+    return str(num // d) if d == den else f"{num // d}/{den // d}"
 
 
 def format_triangle(tri: Triangle, fmt: str, scaled: bool, fh: TextIO) -> None:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .arith import ArithFn, _fraction, one, sigma, tilde
+from .arith import ArithFn, _fraction, _ratio, one, sigma, tilde
 from .series import eichler_integral
 from .triangles import CheckResult, Triangle, _check_family, _crosscheck, iter_columns
 
@@ -359,10 +359,9 @@ def hz_equivalence_check(m_max: int, n_max: int) -> CheckResult:
         for m in range(1, m_max + 1):
             b, geo_col, exp_col = hong_zhang_coefficients(m, n_max), geo.column(m), exp.column(m)
             for n in range(1, n_max + 1):
-                geo_val = Fraction(geo_col[n])
-                exp_val = Fraction(factorial(m) * exp_col[n], factorial(n))
+                exp_val = _ratio(factorial(m) * exp_col[n], factorial(n))
                 # the series value against both triangle routes at once
-                yield (n, m), (b[n], b[n]), (geo_val, exp_val)
+                yield (n, m), (b[n], b[n]), (geo_col[n], exp_val)
 
     return _crosscheck(
         "hz-equivalence", cells(),

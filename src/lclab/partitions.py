@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from .arith import _fraction
+from .arith import _fraction, _integers
 from .triangles import CheckResult, Poly, _crosscheck, build_triangle
 
 
@@ -136,14 +136,19 @@ def nekrasov_okounkov_poly(n: int) -> Poly:
 
 
 def taylor_shift(p: Poly, a) -> Poly:
-    """p(x + a), by repeated synthetic division; exact and in O(deg^2)."""
+    """p(x + a), exact, by repeated synthetic division on ints in O(deg^2).
+    With a = r/s in lowest terms and p = sum of C_k x^k / d (arith._integers),
+    the shift by r of sum of C_k s^(deg-k) z^k has coefficients e_k, and
+    coefficient k of p(x + a) is e_k / (d s^(deg-k))."""
     a = _fraction(a, "shift")
-    c = list(p.coeffs)
-    d = len(c) - 1
-    for i in range(d):
-        for j in range(d - 1, i - 1, -1):
-            c[j] += a * c[j + 1]
-    return Poly(c)
+    c, d = _integers(p.coeffs)
+    deg, r, s = len(c) - 1, a.numerator, a.denominator
+    spow = [s ** (deg - k) for k in range(deg + 1)]
+    c = [ck * sk for ck, sk in zip(c, spow)]
+    for i in range(deg):
+        for j in range(deg - 1, i - 1, -1):
+            c[j] += r * c[j + 1]
+    return Poly([Fraction(e, d * sk) for e, sk in zip(c, spow)])
 
 
 def check_no_identity(n_max: int) -> CheckResult:

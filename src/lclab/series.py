@@ -4,7 +4,8 @@ A Series holds coefficients c[0..order] of sum c_n T^n modulo T^(order+1).
 Binary operations require both operands to share the same truncation order;
 mixing orders silently would hide precision bugs, so it raises instead.
 
-Coefficients are Fractions, but the quadratic kernels run on ints.
+Coefficients are Fractions, but the quadratic kernels run on ints, the
+coefficients put over their lcm denominator by arith._integers.
 Products convolve the two integer vectors of numerators over their lcm
 denominators, with one Fraction per output coefficient.  exp and inverse,
 the two kernels behind the generating-function routes, are both one
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import ArithFn, _fraction
+from .arith import ArithFn, _fraction, _integers
 
 
 class Series:
@@ -155,13 +156,6 @@ class Series:
         if self.order == 0:
             return Series([0])
         return Series([n * c for n, c in enumerate(self.coeffs)][1:])
-
-
-def _integers(coeffs) -> tuple[list[int], int]:
-    """(ints, d): Fraction coefficients as integers over their lcm
-    denominator d, so that coeffs[k] = ints[k] / d."""
-    d = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 def _recurrence(p: list[int], divisors: list[int], scale: int) -> list[Fraction]:

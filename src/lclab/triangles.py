@@ -23,16 +23,16 @@ rule B(n, m) = (n-1) B(n-1, m) + B(n-1, m-1) for h = id and Pascal's
 rule for h = one.  build_triangle collects the columns into rows, and
 exact rational values are recovered on demand by dividing by L_n.
 
-When some value of g is a Fraction, the same loop runs on the integer
-table D g, with D the lcm of g's denominators.  Every entry of column m
-is a sum of products of exactly m values of g, so on D g alone column m
-would be the true column times D^m.  The run keeps each column as an
-integer vector times one rational factor instead: after each column it
-divides the vector by its content (the gcd of its entries) and moves that
-content into the factor, so the integers stay the size of the true
-values.  Entries come out as int where integral and as Fraction
-elsewhere.  Row evaluation (row_at) is integer too: P_n(p/q) is one
-Horner pass over the stored row, then one division.
+The loop runs on the integer table D g, with D the lcm of g's
+denominators (arith._integers; an integer g is the case D = 1).  Every
+entry of column m is a sum of products of exactly m values of g, so on
+D g alone column m would be the true column times D^m.  For D > 1 the run
+keeps each column as an integer vector times one rational factor
+instead: after each column it divides the vector by its content (the gcd
+of its entries) and moves that content into the factor, so the integers
+stay the size of the true values.  Entries come out as int where integral
+and as Fraction elsewhere.  row_at puts the row over one denominator the
+same way: P_n(p/q) is one Horner pass on ints, then one division.
 
 Two independent generating-function routes reproduce the same rows:
 exp(x E(T)) when h = id and 1 / (1 - x G(T)) when h = one, with E and G the
@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import ArithFn, moebius_convolve, tilde, _exactify, _fraction
+from .arith import ArithFn, moebius_convolve, tilde, _fraction, _integers, _ratio
 from .series import Series, eichler_integral, euler_product
 from .stirling import stirling_first
 
@@ -75,6 +75,7 @@ class Poly:
         return self.coeffs[m] if m <= self.degree else Fraction(0)
 
     def __call__(self, x):
+        """p(x) by Horner in Fractions: the oracle of Triangle.row_at (ints)."""
         x = _fraction(x, "x")
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -173,20 +174,18 @@ class Triangle:
         return [Fraction(b) / ln for b in self.row_scaled(n)]
 
     def row_at(self, n: int, x) -> Fraction:
-        """P_n(x), equal to row_poly(n)(x).  With x = p/q in lowest terms,
-        P_n(x) = p * sum of B(n, m) p^(m-1) q^(n-m) / (q^n L_n): one Horner
-        pass over the stored row, in integers when the row is integral, and
-        one division at the end."""
-        row = self.row_scaled(n)
+        """P_n(x), equal to row_poly(n)(x).  With x = p/q in lowest terms and
+        row n as integers C_m over one denominator d (arith._integers),
+        P_n(x) = sum of C_m p^m q^(n-m) / (q^n L_n d): one Horner pass on
+        ints and one division at the end."""
+        row, d = _integers(self.row_scaled(n))
         x = _fraction(x, "x")
-        if n == 0:
-            return Fraction(row[0])
         p, q = x.numerator, x.denominator
-        acc, ppow = 0, 1
-        for b in row:  # acc <- acc q + B(n, m) p^(m-1), m ascending
-            acc = acc * q + b * ppow
+        acc, ppow = 0, p if n else 1  # row 0 holds the constant term only
+        for c in row:  # acc <- acc q + C_m p^m, m ascending
+            acc = acc * q + c * ppow
             ppow *= p
-        return Fraction(acc * p, q**n * self.scale(n))
+        return Fraction(acc, q**n * self.scale(n) * d)
 
     def row_poly(self, n: int) -> Poly:
         """P_n as a polynomial."""
@@ -211,37 +210,27 @@ def iter_columns(g: ArithFn, h: str, n_max: int):
     seed column [1, 0, ..., 0].  Arguments are checked, and g's values
     fetched, on the call, not on the first next()."""
     _check_family(h, n_max)
-    gvals = g.values(n_max)
-    if all(isinstance(v, int) for v in gvals):
-        return _columns(gvals, h == "id", n_max)
-    return _rational_columns(gvals, h == "id", n_max)
+    dg, d = _integers(g.values(n_max))
+    return _columns(dg, d, h == "id", n_max)
 
 
-def _columns(gvals: list, weighted: bool, n_max: int):
-    ones = all(v == 1 for v in gvals[1:])
-    col = [1] + [0] * n_max
-    for m in range(1, n_max + 1):
-        col = _next_column(col, gvals, weighted, ones, m)
-        yield col
-
-
-def _rational_columns(gvals: list, weighted: bool, n_max: int):
-    """Columns of a g with Fraction values: the integer kernel runs on the
-    table D g, D the lcm of g's denominators, and column m of the result is
-    the integer vector col times a rational factor.  Each step divides the
-    factor by D and moves the content of col (the gcd of its entries) into
-    it, so col stays the size of the true values."""
-    d = math.lcm(*(Fraction(v).denominator for v in gvals))
-    dg = [int(v * d) for v in gvals]
+def _columns(dg: list, d: int, weighted: bool, n_max: int):
+    """Columns of g = dg / d for an integer table dg: the kernel runs on dg,
+    and column m is the integer vector col times a rational factor, 1 for
+    d = 1.  For d > 1 each step divides the factor by d and moves the
+    content of col into it (see the module docstring)."""
+    ones = all(v == 1 for v in dg[1:])  # never when d > 1, as dg[1] = d
     col, factor = [1] + [0] * n_max, Fraction(1)
     for m in range(1, n_max + 1):
-        col = _next_column(col, dg, weighted, False, m)
+        col = _next_column(col, dg, weighted, ones, m)
+        if d == 1:
+            yield col
+            continue
         content = math.gcd(*col)
         if content > 1:
             col = [b // content for b in col]
         factor *= Fraction(content, d)
-        num, den = factor.numerator, factor.denominator
-        yield [_exactify(Fraction(b * num, den)) for b in col]
+        yield [_ratio(b * factor.numerator, factor.denominator) for b in col]
 
 
 def _next_column(prev: list, gvals: list, weighted: bool, ones: bool, m: int) -> list:
@@ -288,10 +277,9 @@ def convert(tri: Triangle) -> Triangle:
     for m in range(1, tri.n_max + 1):
         mfac.append(mfac[-1] * m)
     for n in range(1, tri.n_max + 1):
-        ln = tri.scale(n)
-        new_rows.append(
-            [_exactify(Fraction(mfac[m] * tri._rows[n][m - 1], ln)) for m in range(1, n + 1)]
-        )
+        row, d = _integers(tri._rows[n])
+        den = tri.scale(n) * d
+        new_rows.append([_ratio(mfac[m] * c, den) for m, c in enumerate(row, 1)])
     return Triangle(tilde(tri.g), "one", new_rows)
 
 
@@ -346,9 +334,7 @@ def euler_product_crosscheck(g: ArithFn, n_max: int, x) -> CheckResult:
     x = _fraction(x, "x")
     tri = build_triangle(g, "id", n_max)
     f = moebius_convolve(g, n_max) if n_max >= 1 else None
-    exps = [Fraction(0)] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        exps[n] = -x * Fraction(f(n)) / n
+    exps = [0] + [-x * f(n) / n for n in range(1, n_max + 1)]
     s = euler_product(exps, n_max)
     cells = (((n,), s.coefficient(n), tri.row_at(n, x)) for n in range(n_max + 1))
     return _crosscheck(

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -120,3 +121,51 @@ def test_harmonic_sequence_is_logconcave_smallscale():
     hs = [arith.harmonic(n) for n in range(1, 301)]
     for i in range(1, len(hs) - 1):
         assert hs[i] * hs[i] >= hs[i - 1] * hs[i + 1]
+
+
+mixed_values = st.lists(
+    st.one_of(
+        st.integers(min_value=-(10**30), max_value=10**30),
+        st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    ),
+    max_size=12,
+)
+
+
+@given(mixed_values)
+def test_integers_puts_values_over_their_lcm_denominator(values):
+    ints, d = arith._integers(values)
+    assert d == math.lcm(*(Fraction(v).denominator for v in values))
+    assert ints == [v * d for v in values]
+    assert all(type(c) is int for c in ints)
+
+
+@given(st.lists(st.one_of(
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.integers(min_value=-(2**200), max_value=2**200).map(Fraction),
+), max_size=12))
+def test_integers_with_denominator_one_keeps_the_int_objects(values):
+    # nothing is multiplied: the ints are the values' own numerators
+    ints, d = arith._integers(values)
+    assert d == 1 and len(ints) == len(values)
+    assert all(c is v.numerator for c, v in zip(ints, values))
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=-(10**20), max_value=10**20),
+        st.fractions(min_value=-100, max_value=100, max_denominator=40),
+    ),
+    st.integers(min_value=-60, max_value=60).filter(bool),
+)
+def test_ratio_is_exact_and_an_int_exactly_when_integral(num, den):
+    exact = Fraction(num, den)
+    r = arith._ratio(num, den)
+    assert r == exact
+    assert type(r) is (int if exact.denominator == 1 else Fraction)
+
+
+def test_ratio_defaults_to_denominator_one():
+    assert type(arith._ratio(Fraction(6, 3))) is int and arith._ratio(Fraction(6, 3)) == 2
+    assert arith._ratio(Fraction(-3, 4)) == Fraction(-3, 4)
+    assert type(arith._ratio(7)) is int

@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lclab import arith
 from lclab.partitions import (
@@ -165,6 +165,36 @@ def test_taylor_shift_rejects_a_float_shift():
 def test_taylor_shift_round_trip(coeffs, a):
     p = Poly(coeffs)
     assert taylor_shift(taylor_shift(p, a), -a) == p
+
+
+def binomial_shift(coeffs, a):
+    """p(x + a) = sum over k of c_k sum over j of C(k, j) a^(k-j) x^j, in
+    Fraction arithmetic."""
+    out = [Fraction(0)] * len(coeffs)
+    for k, c in enumerate(coeffs):
+        for j in range(k + 1):
+            out[j] += c * math.comb(k, j) * a ** (k - j)
+    return Poly(out)
+
+
+# shifts with denominators > 1 and of both signs, plus integers
+shifts = st.one_of(
+    st.builds(
+        lambda sign, p, q: Fraction(sign * p, q),
+        st.sampled_from([-1, 1]), st.integers(min_value=1, max_value=12), st.integers(2, 9),
+    ),
+    st.integers(min_value=-4, max_value=4).map(Fraction),
+)
+
+
+@given(
+    st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=12), min_size=1, max_size=9),
+    shifts,
+)
+@example([Fraction(1, 3), 0, Fraction(-5, 2), 1], Fraction(-2, 3))
+@example([0, 0, 0, Fraction(7, 4)], Fraction(5, 6))
+def test_taylor_shift_matches_binomial_expansion(coeffs, a):
+    assert taylor_shift(Poly(coeffs), a) == binomial_shift(coeffs, a)
 
 
 def test_shift_identity_at_weight_two():

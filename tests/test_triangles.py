@@ -180,6 +180,31 @@ def test_rational_g_columns_of_normalized_divisor_sum():
     assert cols[1][4] == Fraction(59, 12) and cols[3][4] == 1 and type(cols[3][4]) is int
 
 
+def test_integral_fraction_table_takes_the_integer_route(monkeypatch):
+    # D = 1: no content reduction and no per-cell ratio, so ints come out
+    from lclab import triangles
+
+    def no_ratio(*args):
+        raise AssertionError("a D = 1 table went through the rational route")
+
+    monkeypatch.setattr(triangles, "_ratio", no_ratio)
+    fracs, ints = arith.from_table([Fraction(1), Fraction(2), 3]), arith.from_table([1, 2, 3])
+    for h in ("one", "id"):
+        cols = list(iter_columns(fracs, h, 3))
+        assert cols == list(iter_columns(ints, h, 3))
+        assert all(type(b) is int for col in cols for b in col)
+
+
+def test_row_at_with_a_large_row_denominator():
+    g = arith.from_table([Fraction(1, k) for k in range(1, 41)])
+    for h in ("one", "id"):
+        tri = build_triangle(g, h, 40)
+        row = tri.row_scaled(40)
+        assert math.lcm(*(Fraction(b).denominator for b in row)).bit_length() > 60
+        for x in (Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-7, 5), Fraction(11, 2)):
+            assert tri.row_at(40, x) == tri.row_poly(40)(x), (h, x)
+
+
 row_tables = st.one_of(
     st.lists(st.integers(min_value=-4, max_value=9), max_size=9),
     st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5), max_size=9),
@@ -268,7 +293,10 @@ def test_convert_id_family_gives_binomials():
 
 
 def test_check_conversion_families():
-    for make in (arith.one, arith.identity, arith.square, arith.sigma):
+    # the last two have Fraction values: their rows have denominators d > 1
+    inverses = lambda: arith.from_table([Fraction(1, k) for k in range(1, 19)])
+    tilde_sigma = lambda: arith.tilde(arith.sigma())
+    for make in (arith.one, arith.identity, arith.square, arith.sigma, inverses, tilde_sigma):
         res = check_conversion(make(), 18)
         assert res.passed, res
 
