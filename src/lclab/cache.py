@@ -1,33 +1,40 @@
 """On-disk cache of built triangles.
 
-One JSON file per family (g, h), named by entry_name(g.key, h), holding
-the last full build written, schema 2.  Each stored entry
-B(n, m) is a hex string: f"{v:x}" for an int, "p/q" with p and q in hex
-for a non-integral Fraction.  Hex converts in linear time both ways and is
-not subject to CPython's limit on decimal int/str conversion.
+One file per family (g, h), named by entry_name(g.key, h), holding the
+last full build written, schema 3.  The file is lines of ASCII text:
 
-The file is the payload as canonical JSON (sorted keys, compact
-separators), and the checksum is the sha256 of exactly those bytes
-without the leading "checksum" field, so a load checks what it read
-without encoding anything again: any change to the stored bytes fails.
-Both directions stream.  A save writes a placeholder checksum, then each
-row's bytes to the file and the digest as the row is encoded, and fills
-in the checksum before the rename; it never holds the payload whole.  A
-load reads the file in blocks through the digest and decodes one row at
-a time, so it holds neither the file's bytes nor every row's hex strings.
-Only the exact layout a save writes loads.  Any other file raises
-CacheError naming the first problem: it does not parse, is not a JSON
-object, has another schema (schema-1 decimal entries included), does not
-match its checksum, or is otherwise malformed.  Writes go through a temp
-file in the same directory followed by an atomic rename, so a crash
-mid-write never leaves a half-file behind.
+    {"g": ..., "g_label": ..., "h": ..., "kind": "triangle", "n_max": N, "schema": 3}
+    <row 0>
+    ...
+    <row N>
+    sha256 <hex digest of every byte above this line>
+
+The header is json.dumps with sorted keys, which escapes any newline in a
+label, so it is always one line.  Row line n holds the stored entries
+B(n, m), comma-separated, each a hex string: f"{v:x}" for an int, "p/q"
+with p and q in hex for a non-integral Fraction.  Hex converts in linear
+time both ways and is not subject to CPython's limit on decimal int/str
+conversion.
+
+Both directions stream one line at a time.  A save writes each line into
+a temp file and the digest as the row is encoded, appends the trailer and
+renames the file into place atomically, so a crash mid-write never leaves
+a half-file behind.  A load reads the header with a bounded readline,
+hashes every row line, decodes only the rows it was asked for, and reads
+at most one trailer's length plus one byte, so trailing bytes fail the
+check.  Any other file raises CacheError naming the first problem: not a
+schema-3 entry, another schema, another family, a malformed line, or a
+checksum mismatch.  No file is read whole, a damaged one included.
 
 Rows of the recursion do not depend on later rows, so the stored build
 serves every request up to its size, truncated.  A larger request finds
 no usable entry; the caller rebuilds and saves, which replaces the file,
-as it does after a corrupt entry.  The last writer wins.  Files named
-"triangle-<g>-<h>-n<N>.json", written by earlier versions with one file
-per size, are never read and can be deleted.
+as it does after a corrupt entry.  The last writer wins.  The name keeps
+the ".json" suffix of the schema-1 and schema-2 layouts (one JSON object
+each), so an entry an earlier version left under it is replaced in place
+by the first rebuild.  Files named "triangle-<g>-<h>-n<N>.json", written
+by earlier versions with one file per size, are never read and can be
+deleted.
 """
 
 from __future__ import annotations
@@ -37,22 +44,16 @@ import json
 import os
 import re
 import tempfile
-from itertools import islice
+from itertools import chain
 from pathlib import Path
-from typing import NoReturn
 
 from .arith import ArithFn, _ratio
 from .triangles import Triangle
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 ENV_VAR = "LCLAB_CACHE"
 
-# every file starts with its checksum: "checksum" sorts before the other keys
-_CHECKSUM = b'{"checksum":"'
-_HEAD_RE = re.compile(re.escape(_CHECKSUM) + rb'([0-9a-f]{64})",')
-_ROWS = b'"rows":['
-_TAIL = b',"schema":%d}' % SCHEMA_VERSION
-_BLOCK = 1 << 13
+_HEADER_CAP = 1 << 16  # bytes; a longer first line is not a header
 
 
 class CacheError(Exception):
@@ -80,35 +81,23 @@ def _decode(text: str):
     return int(text, 16)
 
 
-def _payload(tri: Triangle):
-    """The canonical entry without its checksum field and leading '{', in
-    pieces: the header fields, one piece per row, the tail.  Joined, they
-    are json.dumps(body, sort_keys=True, separators=(",", ":")) minus its
-    first byte; the cells are hex digits, '-' and '/', which JSON does not
-    escape."""
-    head = {"g": tri.g.key, "g_label": tri.g.label, "h": tri.h, "kind": "triangle", "n_max": tri.n_max}
-    yield json.dumps(head, sort_keys=True, separators=(",", ":"))[1:-1].encode() + b"," + _ROWS
-    for n in range(tri.n_max + 1):
-        cells = '","'.join(_encode(v) for v in tri.row_scaled(n))
-        yield f'{"," if n else ""}["{cells}"]'.encode()
-    yield b"]" + _TAIL
-
-
 def save_triangle(directory, tri: Triangle) -> Path:
     """Write tri to the cache directory, atomically, one row at a time."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     target = directory / entry_name(tri.g.key, tri.h)
+    head = {"g": tri.g.key, "g_label": tri.g.label, "h": tri.h, "kind": "triangle",
+            "n_max": tri.n_max, "schema": SCHEMA_VERSION}
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(_CHECKSUM + b"0" * 64 + b'",')
-            digest = hashlib.sha256(b"{")
-            for piece in _payload(tri):
-                digest.update(piece)
-                fh.write(piece)
-            fh.seek(len(_CHECKSUM))
-            fh.write(digest.hexdigest().encode())
+            digest = hashlib.sha256()
+            rows = (",".join(map(_encode, tri.row_scaled(n))).encode() for n in range(tri.n_max + 1))
+            for line in chain([json.dumps(head, sort_keys=True).encode()], rows):
+                for piece in (line, b"\n"):
+                    digest.update(piece)
+                    fh.write(piece)
+            fh.write(b"sha256 %s\n" % digest.hexdigest().encode())
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -117,110 +106,49 @@ def save_triangle(directory, tri: Triangle) -> Path:
     return target
 
 
-def _pieces(fh, buf: bytearray, digest):
-    """The rest of fh after buf, which holds its start, split at each ']',
-    then the text after the last one.  Every block read goes through the
-    digest."""
-    pos = seen = 0
-    while True:
-        end = buf.find(b"]", seen)
-        if end >= 0:
-            yield buf[pos:end]
-            pos = seen = end + 1
-            continue
-        block = fh.read(_BLOCK)
-        del buf[:pos]
-        if not block:
-            yield buf
-            return
-        digest.update(block)
-        pos, seen = 0, len(buf)
-        buf += block
-
-
-def _read_canonical(fh, n_max: int):
-    """(header fields, rows 0..n_max decoded) of an entry exactly as
-    save_triangle writes it, or rows None when it holds a smaller build.
-    None for any other file, one whose checksum fails included."""
-    buf = bytearray(fh.read(_BLOCK))
-    head = _HEAD_RE.match(buf)
-    if head is None:
-        return None
-    checksum, body = head.group(1), head.end()  # before buf changes under head
-    # the first ,"rows":[ ends the header: inside a JSON string a quote is escaped
-    while (start := buf.find(b"," + _ROWS)) < 0:
-        block = fh.read(_BLOCK)
-        if not block:
-            return None
-        buf += block
-    digest = hashlib.sha256(b"{")
-    digest.update(buf[body:])
-    try:
-        fields = json.loads(b"{" + buf[body:start] + b"}")
-    except ValueError:
-        return None
-    stored = fields.get("n_max")
-    if not isinstance(stored, int):
-        return None
-    del buf[: start + 1 + len(_ROWS)]
-    pieces = _pieces(fh, buf, digest)
-    rows = [] if stored >= n_max else None
-    for n in range(stored + 1):
-        piece = next(pieces, b"")
-        if not piece.startswith(b",[" if n else b"["):
-            return None
-        if rows is not None and n <= n_max:
-            try:
-                rows.append([_decode(v) for v in json.loads(piece[1 if n else 0 :] + b"]")])
-            except (TypeError, ValueError, ZeroDivisionError):
-                return None
-    if list(islice(pieces, 3)) != [b"", _TAIL]:  # "]", the tail, the end
-        return None
-    if digest.hexdigest().encode() != checksum:
-        return None
-    return fields, rows
-
-
-def _checksum_ok(data: bytes) -> bool:
-    head = _HEAD_RE.match(data)
-    if head is None:
-        return False
-    digest = hashlib.sha256(b"{")
-    digest.update(memoryview(data)[head.end() :])
-    return digest.hexdigest().encode() == head.group(1)
-
-
-def _raise_unusable(path: Path) -> NoReturn:
-    """Raise CacheError with the first problem of a file that is not an
-    entry as save_triangle writes it."""
-    try:
-        data = path.read_bytes()
-        body = json.loads(data)
-    except (OSError, ValueError) as exc:
-        raise CacheError(f"{path.name}: unreadable ({exc})") from exc
-    if not isinstance(body, dict):
-        raise CacheError(f"{path.name}: not a JSON object")
-    if body.get("schema") != SCHEMA_VERSION:
-        raise CacheError(f"{path.name}: schema {body.get('schema')!r}, expected {SCHEMA_VERSION}")
-    if not _checksum_ok(data):
-        raise CacheError(f"{path.name}: checksum mismatch")
-    raise CacheError(f"{path.name}: malformed entry")
-
-
 def _parse_entry(path: Path, g: ArithFn, h: str, n_max: int) -> Triangle | None:
+    """Rows 0..n_max of the entry at path, or None when it holds a smaller
+    build.  One pass: every line goes through the digest, and only rows up
+    to n_max are decoded.  Raises CacheError naming the first problem."""
+
+    def unusable(problem: str) -> CacheError:
+        return CacheError(f"{path.name}: {problem}")
+
     try:
         with open(path, "rb") as fh:
-            entry = _read_canonical(fh, n_max)
+            line = fh.readline(_HEADER_CAP)
+            digest = hashlib.sha256(line)
+            try:  # an older entry is one line of JSON, too long or without a newline
+                head = json.loads(line) if line.endswith(b"\n") else None
+            except (ValueError, RecursionError):
+                head = None
+            if not isinstance(head, dict):
+                raise unusable(f"not a schema-{SCHEMA_VERSION} cache entry")
+            if head.get("schema") != SCHEMA_VERSION:
+                raise unusable(f"schema {head.get('schema')!r}, expected {SCHEMA_VERSION}")
+            stored = head.get("n_max")
+            if head.get("kind") != "triangle" or type(stored) is not int:
+                raise unusable("malformed entry")
+            if (head.get("g"), head.get("h")) != (g.key, h):
+                raise unusable(
+                    f"cached family ({head.get('g')!r}, {head.get('h')!r}), expected ({g.key!r}, {h!r})"
+                )
+            rows = [] if stored >= n_max else None
+            for n in range(stored + 1):
+                line = fh.readline()
+                digest.update(line)
+                if not line.endswith(b"\n"):
+                    raise unusable("malformed entry")
+                if rows is not None and n <= n_max:
+                    try:
+                        rows.append([_decode(v) for v in line[:-1].decode("ascii").split(",")])
+                    except (ValueError, ZeroDivisionError):
+                        raise unusable("malformed entry") from None
+            trailer = b"sha256 %s\n" % digest.hexdigest().encode()
+            if fh.read(len(trailer) + 1) != trailer:
+                raise unusable("checksum mismatch")
     except OSError as exc:
-        raise CacheError(f"{path.name}: unreadable ({exc})") from exc
-    if entry is None:
-        _raise_unusable(path)
-    fields, rows = entry
-    if fields.get("g") != g.key or fields.get("h") != h:
-        raise CacheError(
-            f"{path.name}: cached family ({fields.get('g')!r}, {fields.get('h')!r}), "
-            f"expected ({g.key!r}, {h!r})"
-        )
+        raise unusable(f"unreadable ({exc})") from exc
     return None if rows is None else Triangle(g, h, rows)
 
 

@@ -130,7 +130,7 @@ class Triangle:
     scaled()/row_scaled()/column() the raw stored entries.
     """
 
-    m_max = None  # for the build hook of perfbench/layers.py only (ROADMAP item 4)
+    m_max = None  # for the build hook of perfbench/layers.py only (ROADMAP item 1)
 
     def __init__(self, g: ArithFn, h: str, rows: list[list]):
         _check_family(h, len(rows) - 1)
@@ -179,13 +179,7 @@ class Triangle:
         P_n(x) = sum of C_m p^m q^(n-m) / (q^n L_n d): one Horner pass on
         ints and one division at the end."""
         row, d = _integers(self.row_scaled(n))
-        x = _fraction(x, "x")
-        p, q = x.numerator, x.denominator
-        acc, ppow = 0, p if n else 1  # row 0 holds the constant term only
-        for c in row:  # acc <- acc q + C_m p^m, m ascending
-            acc = acc * q + c * ppow
-            ppow *= p
-        return Fraction(acc, q**n * self.scale(n) * d)
+        return _at(row, self.scale(n) * d, n, _fraction(x, "x"))
 
     def row_poly(self, n: int) -> Poly:
         """P_n as a polynomial."""
@@ -195,6 +189,16 @@ class Triangle:
 
     def __repr__(self):
         return f"Triangle(g={self.g.label}, h={self.h}, n_max={self.n_max})"
+
+
+def _at(row: list[int], den: int, n: int, x: Fraction) -> Fraction:
+    """P_n(x) for row n of a triangle as integers over den: Triangle.row_at."""
+    p, q = x.numerator, x.denominator
+    acc, ppow = 0, p if n else 1  # row 0 holds the constant term only
+    for c in row:  # acc <- acc q + C_m p^m, m ascending
+        acc = acc * q + c * ppow
+        ppow *= p
+    return Fraction(acc, q**n * den)
 
 
 def _check_family(h: str, n_max: int) -> None:
@@ -313,6 +317,7 @@ def genfun_crosscheck(g: ArithFn, h: str, n_max: int, xs=DEFAULT_EVAL_POINTS) ->
     if not xs:
         raise ValueError("genfun needs at least one evaluation point")
     tri = build_triangle(g, h, n_max)
+    rows = [_integers(tri.row_scaled(n)) for n in range(n_max + 1)]  # once, for every x
 
     def cells():
         for x in xs:
@@ -320,8 +325,8 @@ def genfun_crosscheck(g: ArithFn, h: str, n_max: int, xs=DEFAULT_EVAL_POINTS) ->
                 s = (x * eichler_integral(g, n_max)).exp()
             else:
                 s = (Series.one(n_max) - x * Series.from_arith(g, n_max)).inverse()
-            for n in range(n_max + 1):
-                yield (n, x), s.coefficient(n), tri.row_at(n, x)
+            for n, (row, d) in enumerate(rows):
+                yield (n, x), s.coefficient(n), _at(row, tri.scale(n) * d, n, x)
 
     return _crosscheck(
         "genfun", cells(), lambda a, b: f"g={g.label} h={h}: series {a} vs row {b}",

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from lclab.cache import (
     load_triangle,
     save_triangle,
 )
+from lclab.cli import main
 from lclab.triangles import build_triangle
 
 
@@ -60,10 +62,10 @@ def test_miss_returns_none(tmp_path):
 def test_checksum_detects_tampering(tmp_path):
     save_triangle(tmp_path, build_triangle(arith.sigma(), "id", 6))
     path = tmp_path / entry_name("sigma", "id")
-    body = json.loads(path.read_text())
-    body["rows"][3][0] = "999"
-    path.write_text(json.dumps(body))
-    with pytest.raises(CacheError):
+    lines = path.read_bytes().split(b"\n")
+    lines[1 + 3] = b"999" + lines[1 + 3][lines[1 + 3].index(b","):]  # row 3, first cell
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(CacheError, match="checksum mismatch"):
         load_triangle(tmp_path, arith.sigma(), "id", 6)
 
 
@@ -77,10 +79,11 @@ def test_garbage_file_raises(tmp_path):
 def test_schema_version_checked(tmp_path):
     save_triangle(tmp_path, build_triangle(arith.sigma(), "id", 4))
     path = tmp_path / entry_name("sigma", "id")
-    body = json.loads(path.read_text())
-    body["schema"] = 99
-    path.write_text(json.dumps(body))
-    with pytest.raises(CacheError):
+    header, rest = path.read_bytes().split(b"\n", 1)
+    head = json.loads(header)
+    head["schema"] = 99
+    path.write_bytes(json.dumps(head, sort_keys=True).encode() + b"\n" + rest)
+    with pytest.raises(CacheError, match="schema 99, expected 3"):
         load_triangle(tmp_path, arith.sigma(), "id", 4)
 
 
@@ -127,7 +130,7 @@ def test_one_entry_per_family(tmp_path):
     assert load_triangle(tmp_path, g, "id", 4) is None
 
 
-@pytest.mark.parametrize("garbage", ["{not json", "[1, 2]"])
+@pytest.mark.parametrize("garbage", ["{not json", "[1, 2]", pytest.param("[" * 50000 + "\n", id="deep")])
 @pytest.mark.parametrize("n", [3, 6, 9])
 def test_corrupt_entry_raises_for_any_request(garbage, n, tmp_path):
     save_triangle(tmp_path, build_triangle(arith.sigma(), "id", 6))
@@ -141,21 +144,36 @@ def test_corrupt_entry_raises_for_any_request(garbage, n, tmp_path):
 # a label and a key needing JSON escapes: a quote, a backslash, a non-ASCII letter
 ODD = 'custom:q"b\\ü.txt'
 
-# name -> (g, h, n_max): both h, n = 0, Fraction-valued g, an escaped label,
-# and a file of several read blocks
+# name -> (g, h, n_max): both h, n = 0, Fraction-valued g, escaped labels
+# (one with a newline, which the header must keep on one line), and an
+# entry of many rows
 WRITE_CASES = {
     "sigma-id": (arith.sigma, "id", 12),
     "sigma-id-n0": (arith.sigma, "id", 0),
     "square-one": (arith.square, "one", 9),
     "tilde_sigma-one": (lambda: arith.tilde(arith.sigma()), "one", 8),
     "odd-id": (lambda: arith.from_table([1, Fraction(3, 2), -2, 5], ODD, key=ODD), "id", 4),
+    "newline-one": (
+        lambda: arith.from_table([1, 2, Fraction(-1, 3)], "custom:a\nb.txt", key="a\nb"), "one", 3
+    ),
     "sigma-id-blocks": (arith.sigma, "id", 70),
 }
 
 
+def _line_entry(tri) -> bytes:
+    """The reference for the streamed save: the header and row lines joined
+    whole, then the trailer with their digest."""
+    head = {"schema": 3, "kind": "triangle", "g": tri.g.key, "g_label": tri.g.label,
+            "h": tri.h, "n_max": tri.n_max}
+    lines = [json.dumps(head, sort_keys=True)]
+    lines += [",".join(_encode(v) for v in tri.row_scaled(n)) for n in range(tri.n_max + 1)]
+    blob = "".join(line + "\n" for line in lines).encode()
+    return blob + b"sha256 " + hashlib.sha256(blob).hexdigest().encode() + b"\n"
+
+
 def _whole_entry(tri) -> bytes:
-    """The reference for the streamed save: the payload dumped whole,
-    hashed, and its checksum spliced in at the head."""
+    """An entry as schema 2 wrote it: one line of canonical JSON whose
+    leading checksum is the sha256 of the rest."""
     body = {
         "schema": 2, "kind": "triangle", "g": tri.g.key, "g_label": tri.g.label,
         "h": tri.h, "n_max": tri.n_max,
@@ -165,36 +183,30 @@ def _whole_entry(tri) -> bytes:
     return b'{"checksum":"' + hashlib.sha256(blob).hexdigest().encode() + b'",' + blob[1:]
 
 
-@pytest.fixture
-def row_reader_only(monkeypatch):
-    """Fail any load that leaves the row-at-a-time reader."""
-
-    def whole(path):
-        raise AssertionError(f"{path.name} was parsed whole")
-
-    monkeypatch.setattr(cache, "_raise_unusable", whole)
-
-
 @pytest.mark.parametrize("case", list(WRITE_CASES))
 def test_streamed_save_matches_whole_payload(case, tmp_path):
     g, h, n_max = WRITE_CASES[case]
     tri = build_triangle(g(), h, n_max)
-    assert save_triangle(tmp_path, tri).read_bytes() == _whole_entry(tri)
+    data = save_triangle(tmp_path, tri).read_bytes()
+    assert data == _line_entry(tri)
+    assert data.count(b"\n") == n_max + 3  # header, rows, trailer
 
 
 @pytest.mark.parametrize("case", list(WRITE_CASES))
-def test_entry_written_whole_loads_row_by_row(case, tmp_path, row_reader_only):
+def test_entry_written_whole_loads_row_by_row(case, tmp_path):
+    # a saved entry serves the exact size, any truncation and n = 0, and
+    # nothing larger
     g, h, n_max = WRITE_CASES[case]
     tri = build_triangle(g(), h, n_max)
-    (tmp_path / entry_name(tri.g.key, h)).write_bytes(_whole_entry(tri))
+    save_triangle(tmp_path, tri)
     for n in sorted({0, n_max // 2, n_max}):
         back = load_triangle(tmp_path, g(), h, n)
-        assert back.n_max == n
+        assert (back.g.key, back.h, back.n_max) == (tri.g.key, h, n)
         assert [back.row_scaled(k) for k in range(n + 1)] == [tri.row_scaled(k) for k in range(n + 1)]
     assert load_triangle(tmp_path, g(), h, n_max + 1) is None
 
 
-def test_row_reader_names_another_family(tmp_path, row_reader_only):
+def test_row_reader_names_another_family(tmp_path):
     path = save_triangle(tmp_path, build_triangle(arith.sigma(), "id", 5))
     path.rename(tmp_path / entry_name("square", "id"))
     with pytest.raises(CacheError, match=r"cached family \('sigma', 'id'\), expected \('square', 'id'\)"):
@@ -202,19 +214,22 @@ def test_row_reader_names_another_family(tmp_path, row_reader_only):
 
 
 def _damaged(data: bytes):
-    """(what, bytes) of damaged copies of an entry of several blocks."""
-    rows = data.index(b'"rows":[')
+    """(what, bytes) of damaged copies of an entry of many rows."""
+    rows = data.index(b"\n") + 1
+    trailer = data.rindex(b"sha256 ")
+    last = data.rindex(b"\n", 0, trailer - 1) + 1
     yield "empty", b""
     for cut in (40, rows + 3, len(data) // 2, len(data) - 12, len(data) - 1):
         yield f"cut at {cut}", data[:cut]
     yield "a trailing byte", data + b" "
-    for start in (rows + 20, len(data) - 100):  # a digit in an early and in the last row
+    for start in (rows + 20, last + 20):  # a digit in an early and in the last row
         at = next(i for i in range(start, len(data)) if data[i] in b"0123456789abcdef")
         digit = b"1" if data[at:at + 1] == b"0" else b"0"
         yield f"digit changed at {at}", data[:at] + digit + data[at + 1 :]
-    yield "schema 3", data.replace(b'"schema":2}', b'"schema":3}')
-    last = data.rindex(b",[")
-    yield "last row dropped", data[:last] + data[data.index(b"]]", last) + 1 :]
+    yield "schema 4", data.replace(b'"schema": 3}', b'"schema": 4}', 1)
+    yield "last row dropped", data[:last] + data[trailer:]
+    joint = data.index(b"\n", len(data) // 2)
+    yield "two rows joined", data[:joint] + data[joint + 1 :]
 
 
 @pytest.mark.parametrize("n", [3, 70, 71])
@@ -232,3 +247,66 @@ def test_damaged_entry_raises_for_any_request(n, tmp_path):
             continue
         missed.append(what)
     assert missed == []
+
+
+def _flip_mid_digit(path):
+    """Change one hex digit near the middle of the file, in place."""
+    with open(path, "r+b") as fh:
+        fh.seek(path.stat().st_size // 2)
+        at = fh.tell() + next(i for i, c in enumerate(fh.read(256)) if c in b"0123456789abcdef")
+        fh.seek(at)
+        digit = fh.read(1)
+        fh.seek(at)
+        fh.write(b"1" if digit == b"0" else b"0")
+
+
+def _load_peak(directory, n):
+    """(the CacheError that load_triangle raises, its tracemalloc peak)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(CacheError) as info:
+            load_triangle(directory, arith.sigma(), "id", n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return info.value, peak
+
+
+def test_damaged_entry_is_rejected_in_bounded_memory(tmp_path):
+    # the whole file goes through the digest, one line at a time: naming the
+    # damage reads nothing whole, not even a file of over a megabyte
+    path = save_triangle(tmp_path, build_triangle(arith.sigma(), "id", 150))
+    size = path.stat().st_size
+    assert size >= 1 << 20
+    _flip_mid_digit(path)
+    error, peak = _load_peak(tmp_path, 10)
+    assert str(error) == f"{path.name}: checksum mismatch"
+    assert peak < size / 10
+
+
+def test_schema2_entry_is_replaced_in_place(tmp_path, capsys, monkeypatch):
+    # an entry of the previous layout, under the name it still has: its one
+    # line is longer than the header cap, so the load reads only the cap
+    monkeypatch.delenv("LCLAB_CACHE", raising=False)
+    cache_dir = tmp_path / "c"
+    cache_dir.mkdir()
+    path = cache_dir / entry_name("sigma", "id")
+    path.write_bytes(_whole_entry(build_triangle(arith.sigma(), "id", 150)))
+    assert path.stat().st_size > 10 * cache._HEADER_CAP
+    error, peak = _load_peak(cache_dir, 150)
+    error_text = "not a schema-3 cache entry"
+    assert str(error) == f"{path.name}: {error_text}"
+    assert peak < 4 * cache._HEADER_CAP  # the capped readline and its copies
+    argv = ["triangle", "--g", "sigma", "--h", "id", "--n", "150", "--format", "csv"]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    assert main(argv + ["--cache", str(cache_dir)]) == 0
+    out, err = capsys.readouterr()
+    assert out == cold
+    assert err == f"lclab: warning: rebuilding, cache entry unusable: {path.name}: {error_text}\n"
+    assert [p.name for p in cache_dir.iterdir()] == [path.name]
+    with open(path, "rb") as fh:
+        assert json.loads(fh.readline())["schema"] == 3
+    assert main(argv + ["--cache", str(cache_dir)]) == 0
+    assert capsys.readouterr() == (cold, "")

@@ -146,14 +146,14 @@ def test_triangle_corrupt_cache_warns_and_rebuilds(tmp_path, capsys):
     )
     assert code == 0
     entry = next(cache_dir.glob("*.json"))
-    entry.write_text(entry.read_text().replace('"rows"', '"sworn"', 1))
+    entry.write_text(entry.read_text().replace('"n_max"', '"n_mox"', 1))
     code, second, err = run(
         capsys, "triangle", "--g", "sigma", "--h", "id", "--n", "5",
         "--cache", str(cache_dir),
     )
     assert code == 0
     assert second == first
-    assert "warning" in err
+    assert err == f"lclab: warning: rebuilding, cache entry unusable: {entry.name}: malformed entry\n"
 
 
 def test_triangle_corrupt_exact_entry_is_repaired(tmp_path, capsys):
@@ -418,10 +418,13 @@ def test_triangle_cache_entry_not_an_object(tmp_path, capsys):
     cache_dir = tmp_path / "c"
     argv = ("triangle", "--g", "sigma", "--h", "id", "--n", "5", "--cache", str(cache_dir))
     _, first, _ = run(capsys, *argv)
-    next(cache_dir.glob("*.json")).write_text("[1, 2]")
+    entry = next(cache_dir.glob("*.json"))
+    entry.write_text("[1, 2]\n")
     code, second, err = run(capsys, *argv)
     assert (code, second) == (0, first)
-    assert "warning" in err and "not a JSON object" in err
+    warning = "lclab: warning: rebuilding, cache entry unusable"
+    assert err == f"{warning}: {entry.name}: not a schema-3 cache entry\n"
+    assert run(capsys, *argv) == (0, first, "")
 
 
 def test_triangle_corrupt_larger_entry_is_replaced(tmp_path, capsys):
@@ -450,7 +453,8 @@ def test_triangle_larger_request_replaces_smaller_entry(tmp_path, capsys):
         argv = ("triangle", "--g", "sigma", "--h", "id", "--n", str(n))
         cold = run(capsys, *argv)
         assert run(capsys, *argv, "--cache", str(cache_dir)) == cold
-        return json.loads(entry.read_bytes())["n_max"], os.stat(entry).st_ino
+        with open(entry, "rb") as fh:
+            return json.loads(fh.readline())["n_max"], os.stat(entry).st_ino
 
     n_stored, inode = triangle(5)
     assert n_stored == 5
@@ -626,7 +630,9 @@ def test_triangle_schema1_entry_is_rebuilt_once(tmp_path, capsys):
     _, cold, _ = run(capsys, *argv)
     code, out, err = run(capsys, *argv, "--cache", str(cache_dir))
     assert (code, out) == (0, cold)
-    assert "schema 1, expected 2" in err
+    # one line of JSON with no newline, so not even a header
+    warning = "lclab: warning: rebuilding, cache entry unusable"
+    assert err == f"{warning}: triangle-sigma-id.json: not a schema-3 cache entry\n"
     assert run(capsys, *argv, "--cache", str(cache_dir)) == (0, cold, "")
 
 
