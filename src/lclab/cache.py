@@ -22,9 +22,13 @@ renames the file into place atomically, so a crash mid-write never leaves
 a half-file behind.  A load reads the header with a bounded readline,
 hashes every row line, decodes only the rows it was asked for, and reads
 at most one trailer's length plus one byte, so trailing bytes fail the
-check.  Any other file raises CacheError naming the first problem: not a
-schema-3 entry, another schema, another family, a malformed line, or a
-checksum mismatch.  No file is read whole, a damaged one included.
+check.  Row lines are read in pieces of at most _CHUNK bytes, and their
+commas counted as they come: row n has max(n, 1) cells, so a line with
+more fails before it is held whole, and one with fewer fails at its end,
+whatever the checksum says.  Any other file raises CacheError naming the
+first problem: not a schema-3 entry, another schema, another family, a
+malformed line, or a checksum mismatch.  No file is read whole, a damaged
+one included.
 
 Rows of the recursion do not depend on later rows, so the stored build
 serves every request up to its size, truncated.  A larger request finds
@@ -54,6 +58,7 @@ SCHEMA_VERSION = 3
 ENV_VAR = "LCLAB_CACHE"
 
 _HEADER_CAP = 1 << 16  # bytes; a longer first line is not a header
+_CHUNK = 1 << 15  # bytes of a row line read at a time
 
 
 class CacheError(Exception):
@@ -135,13 +140,23 @@ def _parse_entry(path: Path, g: ArithFn, h: str, n_max: int) -> Triangle | None:
                 )
             rows = [] if stored >= n_max else None
             for n in range(stored + 1):
-                line = fh.readline()
-                digest.update(line)
-                if not line.endswith(b"\n"):
+                keep = rows is not None and n <= n_max
+                commas, parts = max(n, 1) - 1, []  # row n has max(n, 1) cells
+                while chunk := fh.readline(_CHUNK):
+                    digest.update(chunk)
+                    commas -= chunk.count(b",")
+                    if commas < 0:
+                        raise unusable("malformed entry")
+                    if keep:
+                        parts.append(chunk)
+                    if chunk.endswith(b"\n"):
+                        break
+                if commas or not chunk.endswith(b"\n"):
                     raise unusable("malformed entry")
-                if rows is not None and n <= n_max:
+                if keep:
+                    parts[-1] = parts[-1][:-1]
                     try:
-                        rows.append([_decode(v) for v in line[:-1].decode("ascii").split(",")])
+                        rows.append([_decode(v) for v in b"".join(parts).decode("ascii").split(",")])
                     except (ValueError, ZeroDivisionError):
                         raise unusable("malformed entry") from None
             trailer = b"sha256 %s\n" % digest.hexdigest().encode()

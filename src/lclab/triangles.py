@@ -17,11 +17,24 @@ form over the rows j = m-1 .. n-1 of column m-1,
     acc <- acc * h(j) + g(n-j) * B(j, m-1),    B(n, m) = final acc,
 
 so every product has one small operand (h(j) or a value of g) and the
-row scale is never stored.  When every value of g is 1, the steps before
-j = n-1 sum to B(n-1, m), so the loop starts there: that is the Stirling
-rule B(n, m) = (n-1) B(n-1, m) + B(n-1, m-1) for h = id and Pascal's
-rule for h = one.  build_triangle collects the columns into rows, and
-exact rational values are recovered on demand by dividing by L_n.
+row scale is never stored.  For h = id the pass runs in blocks of _BLOCK
+consecutive rows [s, e), starting at j = m-1.  Once per column each block
+gets the weighted entries qb(j) = B(j, m-1) h(j+1)...h(e-1) and the block
+weight P = h(s)...h(e-1); then every entry runs Horner over its whole
+blocks,
+
+    acc <- acc * P + sum over j in [s, e) of g(n-j) qb(j),
+
+and finishes the partial block that ends at n with the step above.  Each
+term is one product of a value of g with an entry, summed in C, and the
+weights grow an operand by at most (_BLOCK - 1) log2 n bits, so no
+column-wide scale and no division is needed.  For h = one the weights
+are 1, so each entry is one such sum over rows m-1 .. n-1.  When every
+value of g is 1, the steps before j = n-1 sum to B(n-1, m), so the entry
+is one step from there: that is the Stirling rule
+B(n, m) = (n-1) B(n-1, m) + B(n-1, m-1) for h = id and Pascal's rule for
+h = one.  build_triangle collects the columns into rows, and exact
+rational values are recovered on demand by dividing by L_n.
 
 The loop runs on the integer table D g, with D the lcm of g's
 denominators (arith._integers; an integer g is the case D = 1).  Every
@@ -46,12 +59,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .arith import ArithFn, moebius_convolve, tilde, _fraction, _integers, _ratio
 from .series import Series, eichler_integral, euler_product
 from .stirling import stirling_first
 
 _H_KINDS = ("one", "id")
+_BLOCK = 32  # rows per block of the h = id column kernel (measured; 64 is as fast)
 
 
 class Poly:
@@ -238,23 +253,47 @@ def _columns(dg: list, d: int, weighted: bool, n_max: int):
 
 
 def _next_column(prev: list, gvals: list, weighted: bool, ones: bool, m: int) -> list:
-    """Column m from column m-1 (prev), in Horner form; ones says every
-    value of g is 1."""
+    """Column m from column m-1 (prev); ones says every value of g is 1.
+    Otherwise each entry is the blocked Horner pass of the module
+    docstring: whole blocks of _blocks(prev, m) by one sum each, then the
+    rows of the partial block by the plain step.  With h = one there are
+    no blocks and the partial block is the whole row, one sum."""
     n_max = len(prev) - 1
     col = [0] * (n_max + 1)
+    if ones:  # the steps j < n-1 add up to B(n-1, m)
+        for n in range(m, n_max + 1):
+            col[n] = col[n - 1] * (n - 1 if weighted else 1) + prev[n - 1]
+        return col
+    rg = gvals[::-1]  # rg[n_max - n + j] = g(n - j)
+    blocks = _blocks(prev, m) if weighted else []
     for n in range(m, n_max + 1):
-        if ones:  # the steps j < n-1 add up to B(n-1, m)
-            start, acc = n - 1, col[n - 1]
+        off = n_max - n
+        acc, j = 0, m - 1
+        for qb, p in blocks[: (n - j) // _BLOCK]:
+            acc = acc * p + sum(map(mul, rg[off + j : off + j + _BLOCK], qb))
+            j += _BLOCK
+        if weighted:
+            for j in range(j, n):
+                acc = acc * j + gvals[n - j] * prev[j]
         else:
-            start, acc = m - 1, 0
-        for j in range(start, n):
-            if weighted:
-                acc *= j
-            b = prev[j]
-            if b:
-                acc += gvals[n - j] * b
+            acc += sum(map(mul, rg[off + j : off + n], prev[j:n]))
         col[n] = acc
     return col
+
+
+def _blocks(prev: list, m: int) -> list:
+    """For h = id, the whole blocks [s, e) of rows of column m-1 (prev),
+    s = m-1, m-1+_BLOCK, ... and e <= n_max: per block the pair (qb, P) of
+    the module docstring, qb as the list over j = s..e-1."""
+    blocks = []
+    for s in range(m - 1, len(prev) - _BLOCK, _BLOCK):
+        qb, w = [], 1
+        for j in range(s + _BLOCK - 1, s - 1, -1):  # w = h(j+1)...h(e-1)
+            qb.append(prev[j] * w)
+            w *= j
+        qb.reverse()
+        blocks.append((qb, w))
+    return blocks
 
 
 def build_triangle(g: ArithFn, h: str, n_max: int) -> Triangle:

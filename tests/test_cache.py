@@ -285,6 +285,52 @@ def test_damaged_entry_is_rejected_in_bounded_memory(tmp_path):
     assert peak < size / 10
 
 
+def _resealed(data: bytes, edit) -> bytes:
+    """data with its header and row lines passed through edit (a list of
+    lines to a list of lines) and the trailer recomputed to match."""
+    lines = data[: data.rindex(b"sha256 ")].split(b"\n")[:-1]
+    blob = b"".join(line + b"\n" for line in edit(lines))
+    return blob + b"sha256 " + hashlib.sha256(blob).hexdigest().encode() + b"\n"
+
+
+def test_joined_rows_are_rejected_in_bounded_memory(tmp_path):
+    # every row newline turned into a comma: row 0 then reads as one line of
+    # a megabyte, which fails at its first comma, before it is held whole
+    path = save_triangle(tmp_path, build_triangle(arith.sigma(), "id", 150))
+    data = path.read_bytes()
+    rows = data.index(b"\n") + 1
+    trailer = data.rindex(b"sha256 ")
+    path.write_bytes(data[:rows] + data[rows : trailer - 1].replace(b"\n", b",") + data[trailer - 1 :])
+    size = path.stat().st_size
+    assert size >= 1 << 20
+    error, peak = _load_peak(tmp_path, 10)
+    assert str(error) == f"{path.name}: malformed entry"
+    assert peak < size / 10
+
+
+@pytest.mark.parametrize("n", [4, 5, 9])
+def test_row_cell_count_checked_under_a_valid_checksum(n, tmp_path):
+    # a row that lost a cell, or gained one, is malformed even when the
+    # trailer was recomputed to match, for a truncated hit and a miss too
+    data = save_triangle(tmp_path, build_triangle(arith.sigma(), "id", 10)).read_bytes()
+    path = tmp_path / entry_name("sigma", "id")
+
+    def short(lines):
+        lines[1 + 5] = lines[1 + 5].rsplit(b",", 1)[0]
+        return lines
+
+    def long(lines):
+        lines[1 + 5] += b",1"
+        return lines
+
+    for edit in (short, long):
+        path.write_bytes(_resealed(data, edit))
+        with pytest.raises(CacheError, match="malformed entry"):
+            load_triangle(tmp_path, arith.sigma(), "id", n)
+    path.write_bytes(_resealed(data, lambda lines: lines))
+    assert load_triangle(tmp_path, arith.sigma(), "id", 10).row_scaled(5)[-1] == 1
+
+
 def test_schema2_entry_is_replaced_in_place(tmp_path, capsys, monkeypatch):
     # an entry of the previous layout, under the name it still has: its one
     # line is longer than the header cap, so the load reads only the cap

@@ -445,6 +445,27 @@ def test_triangle_corrupt_larger_entry_is_replaced(tmp_path, capsys):
     assert [p.name for p in cache_dir.iterdir()] == [entry.name]
 
 
+@pytest.mark.parametrize("edit", ["short", "long"])
+def test_triangle_row_with_wrong_cell_count_is_replaced(edit, tmp_path, capsys):
+    # row 5 of an n = 10 entry loses its last cell or gains one, and the
+    # checksum is recomputed: still one warning, the cold output, and a
+    # silent next run
+    cache_dir = tmp_path / "c"
+    argv = ("triangle", "--g", "sigma", "--h", "id", "--n", "10", "--format", "csv")
+    cold = run(capsys, *argv)
+    run(capsys, *argv, "--cache", str(cache_dir))
+    entry = cache_dir / entry_name("sigma", "id")
+    lines = entry.read_bytes().split(b"\n")[:-2]  # header and rows, no trailer
+    row = lines[1 + 5].split(b",")
+    lines[1 + 5] = b",".join(row[:-1] if edit == "short" else row + [b"1"])
+    blob = b"".join(line + b"\n" for line in lines)
+    entry.write_bytes(blob + b"sha256 " + hashlib.sha256(blob).hexdigest().encode() + b"\n")
+    code, out, err = run(capsys, *argv, "--cache", str(cache_dir))
+    assert (code, out) == (0, cold[1])
+    assert err == f"lclab: warning: rebuilding, cache entry unusable: {entry.name}: malformed entry\n"
+    assert run(capsys, *argv, "--cache", str(cache_dir)) == cold
+
+
 def test_triangle_larger_request_replaces_smaller_entry(tmp_path, capsys):
     cache_dir = tmp_path / "c"
     entry = cache_dir / entry_name("sigma", "id")

@@ -3,9 +3,9 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from lclab import arith
+from lclab import arith, triangles
 from row_identities import row_identity_mismatches
 from lclab.series import Series, eichler_integral
 from lclab.triangles import (
@@ -171,6 +171,55 @@ def test_rational_g_columns_match_fraction_horner(values, h):
     for col in cols:  # integral entries come out as int, the rest as Fraction
         kinds = [int if Fraction(b).denominator == 1 else Fraction for b in col]
         assert [type(b) for b in col] == kinds
+
+
+def horner_columns(values, h, n_max):
+    """The columns m = 1..n_max of (g, h) by the plain Horner loop over rows
+    j = m-1..n-1, one step per row and no block or all-ones shortcut, run on
+    the integer table D g; column m is divided by D^m at the end."""
+    d = math.lcm(*(Fraction(v).denominator for v in values))
+    g = [0] + [int(Fraction(v) * d) for v in values]
+    prev = [1] + [0] * n_max
+    cols = []
+    for m in range(1, n_max + 1):
+        col = [0] * (n_max + 1)
+        for n in range(m, n_max + 1):
+            acc = 0
+            for j in range(m - 1, n):
+                acc = acc * (j if h == "id" else 1) + g[n - j] * prev[j]
+            col[n] = acc
+        cols.append([Fraction(b, d**m) for b in col])
+        prev = col
+    return cols
+
+
+K = triangles._BLOCK
+
+
+def kernel_table(n_max):
+    """Tables for n_max rows: integers with zeros and negative values, the
+    same with a few Fractions (the content path), and all ones."""
+    ints = st.integers(min_value=-3, max_value=7)
+    fracs = st.one_of(ints, st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]))
+    size = dict(min_size=n_max - 1, max_size=n_max - 1)
+    return st.one_of(
+        st.lists(ints, **size).map(lambda rest: [1] + rest),
+        st.lists(fracs, **size).map(lambda rest: [Fraction(1)] + rest),
+        st.just([1] * n_max),
+    )
+
+
+# n_max at and around the block edges, so that the column starts m-1 fall
+# on, before and after an edge
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([K - 1, K, K + 1, 2 * K + 1, 3 * K + 2]).flatmap(
+    lambda n: st.tuples(st.just(n), kernel_table(n))), st.sampled_from(["one", "id"]))
+@example((3 * K + 2, [1] + [(-1) ** k * (k % 5) for k in range(2, 3 * K + 3)]), "id")
+@example((2 * K + 1, [1] + [k % 4 - 1 for k in range(2, 2 * K + 2)]), "one")
+@example((K + 1, [Fraction(1)] + [Fraction(k % 3, 2) for k in range(2, K + 2)]), "id")
+def test_block_kernel_matches_plain_horner(case, h):
+    n_max, values = case
+    assert list(iter_columns(arith.from_table(values), h, n_max)) == horner_columns(values, h, n_max)
 
 
 def test_rational_g_columns_of_normalized_divisor_sum():
