@@ -192,7 +192,10 @@ def cmd_triangle(args) -> int:
         tri = build_triangle(g, args.h, args.n)
         if cache_dir:
             # a miss, a smaller build or a corrupt entry: the rebuild replaces it
-            save_triangle(cache_dir, tri)
+            try:
+                save_triangle(cache_dir, tri)
+            except OSError as exc:  # the output does not depend on the cache
+                print(f"lclab: warning: cache not written: {exc}", file=sys.stderr)
     if args.out:
         with open(args.out, "w") as fh:
             format_triangle(tri, args.format, args.scaled, fh)

@@ -29,9 +29,30 @@ and finishes the partial block that ends at n with the step above.  Each
 term is one product of a value of g with an entry, summed in C, and the
 weights grow an operand by at most (_BLOCK - 1) log2 n bits, so no
 column-wide scale and no division is needed.  For h = one the weights
-are 1, so each entry is one such sum over rows m-1 .. n-1.  When every
-value of g is 1, the steps before j = n-1 sum to B(n-1, m), so the entry
-is one step from there: that is the Stirling rule
+are 1, so each entry is one such sum over rows m-1 .. n-1.
+
+Those sums run in lanes: one sum serves the _LANES rows n .. n+_LANES-1
+of a lane group, n = m-1, m-1+_LANES, ...  A run of entries x(j) from row
+s on (column m-1 from row m-1 for h = one, a block's qb for h = id), with
+x zero outside the run, is packed at a lane width of K bits,
+
+    X(i) = sum over lanes t < _LANES of x(i+t) 2^(tK),    i >= s-_LANES+1,
+
+and then, putting j = i+t in lane t,
+
+    sum over i < n of g(n-i) X(i) = sum over t of c(t) 2^(tK),
+    c(t) = sum over j < n+t of g(n+t-j) x(j),
+
+which is row n+t's sum: its whole sum for h = one, and for h = id the
+term of a block [s, e) with e <= n, where X(i) = 0 for i >= e.  Since _LANES divides _BLOCK and the groups
+start at m-1, the rows of a group have the same whole blocks, and each
+lane then runs its own Horner step acc * P + c(t) and its own partial
+block.  _next_column picks K so that the lanes can be read back exactly.
+Every product is still small-by-big, a value of g times a packed entry,
+so the limb work is that of _LANES separate sums, but the count of
+bigint operations, each of which allocates an int, falls by a factor of
+_LANES.  When every value of g is 1, the steps before j = n-1 sum to
+B(n-1, m), so the entry is one step from there: that is the Stirling rule
 B(n, m) = (n-1) B(n-1, m) + B(n-1, m-1) for h = id and Pascal's rule for
 h = one.  build_triangle collects the columns into rows, and exact
 rational values are recovered on demand by dividing by L_n.
@@ -67,6 +88,7 @@ from .stirling import stirling_first
 
 _H_KINDS = ("one", "id")
 _BLOCK = 32  # rows per block of the h = id column kernel (measured; 64 is as fast)
+_LANES = 4  # rows per packed sum of the column kernel; divides _BLOCK
 
 
 class Poly:
@@ -254,37 +276,87 @@ def _columns(dg: list, d: int, weighted: bool, n_max: int):
 
 def _next_column(prev: list, gvals: list, weighted: bool, ones: bool, m: int) -> list:
     """Column m from column m-1 (prev); ones says every value of g is 1.
-    Otherwise each entry is the blocked Horner pass of the module
-    docstring: whole blocks of _blocks(prev, m) by one sum each, then the
-    rows of the partial block by the plain step.  With h = one there are
-    no blocks and the partial block is the whole row, one sum."""
+    Otherwise the rows run in the lane groups of the module docstring: for
+    h = one one packed sum over column m-1 gives a group's entries; for
+    h = id one packed sum per whole block gives the group's block sums,
+    and each lane finishes its partial block by the plain step.
+
+    The lane width is K = bits(G max |x|) + 1, with G the sum of |g(k)| over
+    k = 1..n_max and x the packed run (column m-1 for h = one, one block's
+    qb for h = id).  Lane t holds c(t) = sum of g(n+t-j) x(j), one term per
+    j, so the k = n+t-j are distinct, and |c(t)| <= G max |x| < 2^(K-1);
+    past n_max the table reads as zero, so lanes of rows past the last
+    obey the same bound.  A sum V = sum of c(t) 2^(tK) with every
+    |c(t)| < 2^(K-1) gives its lanes back low lane first: V = c(0) mod 2^K,
+    and c(0) is the one residue in [-2^(K-1), 2^(K-1)), so it is the low
+    K bits less 2^K when those are >= 2^(K-1); then (V - c(0)) / 2^K is the
+    sum over the lanes t >= 1, one lane down (_unpack).  The bound holds
+    for any sign of g and of the entries, so negative tables and the D g
+    table of the content path need nothing more."""
     n_max = len(prev) - 1
     col = [0] * (n_max + 1)
     if ones:  # the steps j < n-1 add up to B(n-1, m)
         for n in range(m, n_max + 1):
             col[n] = col[n - 1] * (n - 1 if weighted else 1) + prev[n - 1]
         return col
-    rg = gvals[::-1]  # rg[n_max - n + j] = g(n - j)
-    blocks = _blocks(prev, m) if weighted else []
-    for n in range(m, n_max + 1):
-        off = n_max - n
-        acc, j = 0, m - 1
-        for qb, p in blocks[: (n - j) // _BLOCK]:
-            acc = acc * p + sum(map(mul, rg[off + j : off + j + _BLOCK], qb))
-            j += _BLOCK
-        if weighted:
-            for j in range(j, n):
-                acc = acc * j + gvals[n - j] * prev[j]
-        else:
-            acc += sum(map(mul, rg[off + j : off + n], prev[j:n]))
-        col[n] = acc
+    rg = [0] * _LANES + gvals[::-1]  # rg[_LANES + n_max - k] = g(k), 0 past n_max
+    gsum = sum(map(abs, gvals))
+    if not weighted:
+        packed, width = _pack(prev[m - 1 :], gsum)
+        del col[m - 1 :]
+        for n in range(m - 1, n_max + 1, _LANES):
+            col += _unpack(sum(map(mul, rg[n_max - n + m : n_max + _LANES], packed)), width)
+        del col[n_max + 1 :]  # the lanes of rows past n_max
+        return col
+    blocks = _blocks(prev, m, gsum)
+    for n in range(m - 1, n_max + 1, _LANES):  # no group straddles a block edge
+        accs, s = [0] * _LANES, m - 1
+        for (packed, width), w in blocks[: (n - s) // _BLOCK]:
+            lo = n_max - n + s + 1
+            lanes = _unpack(sum(map(mul, rg[lo : lo + len(packed)], packed)), width)
+            accs = [acc * w + c for acc, c in zip(accs, lanes)]
+            s += _BLOCK
+        for r, acc in zip(range(n, min(n + _LANES, n_max + 1)), accs):
+            for j in range(s, r):
+                acc = acc * j + gvals[r - j] * prev[j]
+            col[r] = acc
     return col
 
 
-def _blocks(prev: list, m: int) -> list:
+def _pack(run: list, gsum: int) -> tuple[list, int]:
+    """The lane-packed form of a run of entries x(s), x(s+1), ... of a
+    column: the list over i = s-_LANES+1 .. s+len(run)-1 of the sums of
+    x(i+t) << t K over lanes t, with x zero outside the run, and the lane
+    width K = bits(gsum * max |x|) + 1 (_next_column)."""
+    width = (gsum * max(max(run), -min(run))).bit_length() + 1
+    pad = [0] * (_LANES - 1)
+    ext = pad + run + pad
+    packed = ext[: len(run) + _LANES - 1]
+    for t in range(1, _LANES):
+        packed = [p + (x << t * width) for p, x in zip(packed, ext[t:])]
+    return packed, width
+
+
+def _unpack(v: int, width: int) -> list:
+    """The _LANES signed lanes of v, each in [-2^(width-1), 2^(width-1)),
+    low lane first."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    lanes = []
+    for _ in range(_LANES - 1):
+        c = v & mask
+        v >>= width
+        if c >= half:  # a negative lane borrowed one from the lane above
+            c -= mask + 1
+            v += 1
+        lanes.append(c)
+    lanes.append(v)
+    return lanes
+
+
+def _blocks(prev: list, m: int, gsum: int) -> list:
     """For h = id, the whole blocks [s, e) of rows of column m-1 (prev),
     s = m-1, m-1+_BLOCK, ... and e <= n_max: per block the pair (qb, P) of
-    the module docstring, qb as the list over j = s..e-1."""
+    the module docstring, with qb over j = s..e-1 packed by _pack."""
     blocks = []
     for s in range(m - 1, len(prev) - _BLOCK, _BLOCK):
         qb, w = [], 1
@@ -292,7 +364,7 @@ def _blocks(prev: list, m: int) -> list:
             qb.append(prev[j] * w)
             w *= j
         qb.reverse()
-        blocks.append((qb, w))
+        blocks.append((_pack(qb, gsum), w))
     return blocks
 
 

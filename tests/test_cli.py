@@ -156,6 +156,21 @@ def test_triangle_corrupt_cache_warns_and_rebuilds(tmp_path, capsys):
     assert err == f"lclab: warning: rebuilding, cache entry unusable: {entry.name}: malformed entry\n"
 
 
+@pytest.mark.parametrize("under_file", ["", "sub"])
+def test_triangle_unwritable_cache_warns_and_keeps_output(tmp_path, capsys, under_file):
+    # the cache path is a regular file, or a directory below one: the save
+    # fails, and only a warning on stderr tells the two runs apart
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    argv = ("triangle", "--g", "sigma", "--h", "id", "--n", "6", "--format", "json")
+    code, out, err = run(capsys, *argv, "--cache", str(blocker / under_file))
+    assert (code, out) == run(capsys, *argv)[:2]
+    assert code == 0
+    assert err.startswith("lclab: warning: cache not written: ")
+    assert err.count("\n") == 1
+    assert blocker.read_text() == "not a directory"
+
+
 def test_triangle_corrupt_exact_entry_is_repaired(tmp_path, capsys):
     cache_dir = tmp_path / "c"
     argv = ("triangle", "--g", "sigma", "--h", "id", "--n", "5", "--cache", str(cache_dir))

@@ -222,6 +222,39 @@ def test_block_kernel_matches_plain_horner(case, h):
     assert list(iter_columns(arith.from_table(values), h, n_max)) == horner_columns(values, h, n_max)
 
 
+L = triangles._LANES
+
+
+def lane_table(n_max):
+    """Tables for n_max rows with values up to 10^12 in size and of both
+    signs, so that lane sums are large and negative ones borrow from the
+    lane above; the same as Fractions (the content path)."""
+    big = st.one_of(
+        st.integers(min_value=-10**12, max_value=10**12),
+        st.sampled_from([10**12, -10**12, 0, -1]),
+    )
+    size = dict(min_size=n_max - 1, max_size=n_max - 1)
+    return st.one_of(
+        st.lists(big, **size).map(lambda rest: [1] + rest),
+        st.lists(st.one_of(big, st.just(Fraction(-10**12, 7))), **size).map(
+            lambda rest: [Fraction(1)] + rest
+        ),
+    )
+
+
+# n_max at every residue mod _LANES, below one lane group and past two
+# block edges; every triangle ends in columns shorter than a lane group
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(st.integers(1, 2 * L - 1), st.integers(2 * K - 1, 2 * K + L - 2)).flatmap(
+    lambda n: st.tuples(st.just(n), lane_table(n))), st.sampled_from(["one", "id"]))
+@example((2 * K + 2, [1] + [(-1) ** k * 10**12 + k for k in range(2, 2 * K + 3)]), "id")
+@example((2 * K + 1, [1] + [(-1) ** k * 10**12 + k for k in range(2, 2 * K + 2)]), "one")
+@example((3, [1, -10**12, 10**12]), "one")
+def test_lane_kernel_matches_plain_horner(case, h):
+    n_max, values = case
+    assert list(iter_columns(arith.from_table(values), h, n_max)) == horner_columns(values, h, n_max)
+
+
 def test_rational_g_columns_of_normalized_divisor_sum():
     g = arith.tilde(arith.sigma())
     cols = list(iter_columns(g, "one", 40))
