@@ -43,27 +43,20 @@ def divisor_sigma_sieve(limit: int, power: int = 1) -> list[int]:
 
 
 def moebius_sieve(limit: int) -> list[int]:
-    """Fill the Moebius function mu(n) for all n <= limit (mu[0] = 0)."""
+    """Fill the Moebius function mu(n) for all n <= limit (mu[0] = 0).
+
+    mu(1) = 1, and for n > 1 the sum of mu(d) over the divisors d of n is
+    0.  So mu(d) is final once every smaller d is done, and is then
+    subtracted from each proper multiple of d."""
     if limit < 0:
         raise ValueError("sieve limit must be >= 0")
     mu = [0] * (limit + 1)
     if limit >= 1:
         mu[1] = 1
-    spf = [0] * (limit + 1)
-    primes: list[int] = []
-    for i in range(2, limit + 1):
-        if spf[i] == 0:
-            spf[i] = i
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            if p * i > limit:
-                break
-            spf[p * i] = p
-            if p == spf[i]:
-                mu[p * i] = 0
-                break
-            mu[p * i] = -mu[i]
+    for d in range(1, limit + 1):
+        if mu[d]:
+            for multiple in range(2 * d, limit + 1, d):
+                mu[multiple] -= mu[d]
     return mu
 
 

@@ -16,6 +16,7 @@ execution is sequential regardless; results do not depend on it.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -49,18 +50,13 @@ from .triangles import (
 )
 
 G_CHOICES = "one|id|square|sigma|sigma_k=K|custom=PATH"
+_NAMED_G = {"one": arith.one, "id": arith.identity, "square": arith.square, "sigma": arith.sigma}
 
 
 def parse_g(token: str) -> ArithFn:
     """Turn a --g token into an arithmetic function."""
-    if token == "one":
-        return arith.one()
-    if token == "id":
-        return arith.identity()
-    if token == "square":
-        return arith.square()
-    if token == "sigma":
-        return arith.sigma()
+    if token in _NAMED_G:
+        return _NAMED_G[token]()
     if token.startswith("sigma_k="):
         raw = token.split("=", 1)[1]
         try:
@@ -80,8 +76,6 @@ def ingest_custom_g(path: str) -> ArithFn:
     or trailing) are skipped.  Values are integers or p/q fractions.
     g(1) must equal 1, otherwise the table is rejected.
     """
-    import hashlib
-
     values = []
     try:
         lines = Path(path).read_text().splitlines()
@@ -241,8 +235,6 @@ def _render_report(report: ConcavityReport, fmt: str) -> tuple[str, int]:
     lines = [head]
     if report.params:
         lines.append("  " + " ".join(f"{k}={v}" for k, v in report.params.items()))
-    if report.clipped:
-        lines.append("  note: scan clipped at the built triangle edge")
     if not report.passed:
         lines.append(f"  {len(report.failures)} failing center(s):")
         for n, m in report.failures[:_LIST_CAP]:

@@ -1,10 +1,12 @@
 """Integer partitions, hook lengths, and hook-length polynomials.
 
 Partitions stream in descending lexicographic order as tuples of parts
-(largest first), using the iterative successor algorithm that mutates a
-shared buffer, so memory stays O(n) no matter how many partitions there
-are.  Hooks come from the conjugate shape: the cell (i, j) of the diagram
-has hook length lambda_i + lambda'_j - i - j - 1 (zero-based i, j).
+(largest first), by the successor rule: the parts above 1 are a list and
+the 1s a count, and each step lowers the last part above 1, k + 1, to k
+and refills k + 1 plus the 1s with as many k as fit and then the
+remainder.  Memory stays O(n) no matter how many partitions there are.
+Hooks come from the conjugate shape: the cell (i, j) of the diagram has
+hook length lambda_i + lambda'_j - i - j - 1 (zero-based i, j).
 
 The hook-length polynomial of weight n,
 
@@ -31,7 +33,7 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from .arith import _fraction, _integers
+from .arith import _fraction, _integers, sigma
 from .triangles import CheckResult, Poly, _crosscheck, build_triangle
 
 
@@ -43,35 +45,23 @@ def iter_partitions(n: int) -> Iterator[tuple[int, ...]]:
     """
     if n < 0:
         raise ValueError("partitions are defined for n >= 0")
-    if n == 0:
-        yield ()
-        return
-    x = [1] * (n + 1)
-    x[1] = n
-    m = 1
-    h = 1
-    yield tuple(x[1 : m + 1])
-    while x[1] != 1:
-        if x[h] == 2:
-            m += 1
-            x[h] = 1
-            h -= 1
+    parts, ones = ([n], 0) if n > 1 else ([], n)  # the parts above 1, the count of 1s
+    while True:
+        yield tuple(parts) + (1,) * ones
+        if not parts:
+            return
+        k = parts.pop() - 1
+        if k == 1:
+            ones += 2
+            continue
+        # k + 1 and the 1s refill as many k as fit, then the remainder
+        q, r = divmod(ones + k + 1, k)
+        parts += [k] * q
+        if r > 1:
+            parts.append(r)
+            ones = 0
         else:
-            r = x[h] - 1
-            t = m - h + 1
-            x[h] = r
-            while t >= r:
-                h += 1
-                x[h] = r
-                t -= r
-            if t == 0:
-                m = h
-            else:
-                m = h + 1
-                if t > 1:
-                    h += 1
-                    x[h] = t
-        yield tuple(x[1 : m + 1])
+            ones = r
 
 
 def count_partitions(n: int) -> int:
@@ -158,8 +148,6 @@ def check_no_identity(n_max: int) -> CheckResult:
     n <= n_max.  The left side comes from partitions and hooks only, the
     right side from the coefficient recursion plus a Taylor shift.
     """
-    from .arith import sigma
-
     tri = build_triangle(sigma(), "id", n_max)
 
     def cells():

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import harmonic
+from .arith import harmonic, one
 
 _ROWS: list[list[int]] = [[1]]
 
@@ -69,8 +69,7 @@ def harmonic_column_identity(n: int) -> bool:
     """
     if n < 2:
         raise ValueError("identities need n >= 2")
-    from .triangles import build_triangle, convert
-    from .arith import one
+    from .triangles import build_triangle, convert  # here: triangles imports this module
 
     fac = math.factorial(n - 1)
     if stirling_first(n, 1) != fac:

@@ -82,7 +82,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .arith import ArithFn, moebius_convolve, tilde, _fraction, _integers, _ratio
+from .arith import (
+    ArithFn, identity, moebius_convolve, one, square, tilde, _fraction, _integers, _ratio,
+)
 from .series import Series, eichler_integral, euler_product
 from .stirling import stirling_first
 
@@ -459,6 +461,23 @@ def euler_product_crosscheck(g: ArithFn, n_max: int, x) -> CheckResult:
     )
 
 
+# (g label, h) -> (g constructor, closed form of A(n, m)), in check order
+_CLOSED_FORMS = {
+    ("one", "one"): (one, lambda n, m: Fraction(math.comb(n - 1, m - 1))),
+    ("id", "id"): (identity, lambda n, m: Fraction(math.comb(n - 1, m - 1), math.factorial(m))),
+    ("square", "id"): (
+        square, lambda n, m: Fraction(math.comb(n + m - 1, 2 * m - 1), math.factorial(m))
+    ),
+    ("id", "one"): (identity, lambda n, m: Fraction(math.comb(n + m - 1, 2 * m - 1))),
+    ("one", "id"): (one, lambda n, m: Fraction(stirling_first(n, m), math.factorial(n))),
+    ("tilde(one)", "one"): (
+        lambda: tilde(one()),
+        lambda n, m: Fraction(math.factorial(m) * stirling_first(n, m), math.factorial(n)),
+    ),
+}
+CLOSED_FORM_FAMILIES = tuple(_CLOSED_FORMS)
+
+
 def closed_form_oracle(g_label: str, h: str, n: int, m: int) -> Fraction:
     """Known closed form of A(n, m) for the six classic families.
 
@@ -470,42 +489,19 @@ def closed_form_oracle(g_label: str, h: str, n: int, m: int) -> Fraction:
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got n={n} m={m}")
     key = (g_label, h)
-    if key == ("one", "one"):
-        return Fraction(math.comb(n - 1, m - 1))
-    if key == ("id", "id"):
-        return Fraction(math.comb(n - 1, m - 1), math.factorial(m))
-    if key == ("square", "id"):
-        return Fraction(math.comb(n + m - 1, 2 * m - 1), math.factorial(m))
-    if key == ("id", "one"):
-        return Fraction(math.comb(n + m - 1, 2 * m - 1))
-    if key == ("one", "id"):
-        return Fraction(stirling_first(n, m), math.factorial(n))
-    if key == ("tilde(one)", "one"):
-        return Fraction(math.factorial(m) * stirling_first(n, m), math.factorial(n))
-    raise ValueError(f"no closed form on record for {key}")
-
-
-CLOSED_FORM_FAMILIES = (
-    ("one", "one"),
-    ("id", "id"),
-    ("square", "id"),
-    ("id", "one"),
-    ("one", "id"),
-    ("tilde(one)", "one"),
-)
+    if key not in _CLOSED_FORMS:
+        raise ValueError(f"no closed form on record for {key}")
+    return _CLOSED_FORMS[key][1](n, m)
 
 
 def closed_forms_check(n_max: int) -> CheckResult:
     """Build all six classic families and compare every entry with its
     closed form: B(n, m) = L_n p / q for the closed form p / q, checked as
     B(n, m) q = p L_n."""
-    from . import arith
-
-    fns = {g.label: g for g in (arith.one(), arith.identity(), arith.square(), tilde(arith.one()))}
 
     def cells():  # each value carries its family, which names a failure
-        for g_label, h in CLOSED_FORM_FAMILIES:
-            tri = build_triangle(fns[g_label], h, n_max)
+        for (g_label, h), (make_g, _) in _CLOSED_FORMS.items():
+            tri = build_triangle(make_g(), h, n_max)
             family = f"family ({g_label}, {h})"
             for n in range(1, n_max + 1):
                 ln = tri.scale(n)

@@ -86,6 +86,25 @@ def test_moebius_sieve_values():
     assert mu[0] == 0
 
 
+def _moebius_by_trial_division(n: int) -> int:
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+def test_moebius_sieve_matches_trial_division():
+    assert arith.moebius_sieve(0) == [0]
+    assert arith.moebius_sieve(1) == [0, 1]
+    expected = [0] + [_moebius_by_trial_division(n) for n in range(1, 3001)]
+    assert arith.moebius_sieve(3000) == expected
+
+
 def test_divisor_sieve_against_bruteforce():
     s = arith.divisor_sigma_sieve(60)
     for n in range(1, 61):

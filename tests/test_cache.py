@@ -331,6 +331,39 @@ def test_row_cell_count_checked_under_a_valid_checksum(n, tmp_path):
     assert load_triangle(tmp_path, arith.sigma(), "id", 10).row_scaled(5)[-1] == 1
 
 
+@pytest.mark.parametrize("cell", [b"xyz", b"1/0"], ids=["non-hex", "zero-denominator"])
+def test_undecodable_cell_under_a_valid_checksum(cell, tmp_path):
+    data = save_triangle(tmp_path, build_triangle(arith.sigma(), "id", 6)).read_bytes()
+    path = tmp_path / entry_name("sigma", "id")
+
+    def edit(lines):
+        lines[1 + 4] = cell + lines[1 + 4][lines[1 + 4].index(b","):]
+        return lines
+
+    path.write_bytes(_resealed(data, edit))
+    with pytest.raises(CacheError, match="malformed entry"):
+        load_triangle(tmp_path, arith.sigma(), "id", 6)
+
+
+def test_entry_path_that_is_a_directory(tmp_path, capsys, monkeypatch):
+    # the entry can be neither read nor replaced: the output is the cold
+    # one, each failure is named once, and no temp file is left behind
+    monkeypatch.delenv("LCLAB_CACHE", raising=False)
+    argv = ["triangle", "--g", "sigma", "--h", "id", "--n", "6"]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    cache_dir = tmp_path / "c"
+    name = entry_name("sigma", "id")
+    (cache_dir / name).mkdir(parents=True)
+    assert main(argv + ["--cache", str(cache_dir)]) == 0
+    out, err = capsys.readouterr()
+    assert out == cold
+    unreadable, unwritten = err.splitlines()
+    assert unreadable.startswith(f"lclab: warning: rebuilding, cache entry unusable: {name}: unreadable (")
+    assert unwritten.startswith("lclab: warning: cache not written: ")
+    assert [p.name for p in cache_dir.iterdir()] == [name]
+
+
 def test_schema2_entry_is_replaced_in_place(tmp_path, capsys, monkeypatch):
     # an entry of the previous layout, under the name it still has: its one
     # line is longer than the header cap, so the load reads only the cap

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 from lclab import arith, cli
 from lclab.cache import entry_name
 from lclab.cli import _ratio_text, ingest_custom_g, main, parse_g, parse_rational, parse_xs
-from lclab.triangles import Triangle, build_triangle
+from lclab.triangles import Triangle, build_triangle, closed_form_oracle
 
 
 def run(capsys, *argv):
@@ -31,6 +31,20 @@ def test_parse_g_tokens(tmp_path):
         parse_g("cubes")
     with pytest.raises(ValueError):
         parse_g("sigma_k=two")
+
+
+def test_identity_family_matches_its_closed_form(capsys):
+    # (id, id) is the Laguerre family: A(n, m) = C(n-1, m-1) / m!
+    assert parse_g("id").label == "id"
+    assert [parse_g("id")(n) for n in range(1, 6)] == [1, 2, 3, 4, 5]
+    code, out, err = run(capsys, "triangle", "--g", "id", "--h", "id", "--n", "8", "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()]
+    assert [row[0] for row in rows] == [str(n) for n in range(9)]
+    assert rows[0] == ["0", "1"]
+    for n, (_, *cells) in enumerate(rows[1:], 1):
+        expected = [closed_form_oracle("id", "id", n, m) for m in range(1, n + 1)]
+        assert [Fraction(c) for c in cells] == expected
 
 
 def test_parse_rational_and_xs():
@@ -71,6 +85,14 @@ def test_custom_table_rejections(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(ValueError, match="no values"):
         ingest_custom_g(str(empty))
+
+
+def test_custom_table_missing_file_exits_two(tmp_path, capsys):
+    missing = tmp_path / "absent.txt"
+    code, out, err = run(capsys, "triangle", "--g", f"custom={missing}", "--h", "one", "--n", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("lclab: error: cannot read custom table: ")
+    assert str(missing) in err and err.count("\n") == 1
 
 
 def test_triangle_table_output(capsys):

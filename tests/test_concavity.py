@@ -255,6 +255,8 @@ def test_hz_routes_reject_negative_sizes():
         hz_equivalence_check(3, -1)
     with pytest.raises(ValueError, match="limit >= 0, got -1"):
         hong_zhang_coefficients(2, -1)
+    with pytest.raises(ValueError, match="power must be >= 0"):
+        hong_zhang_coefficients(-1, 5)
 
 
 def test_hong_zhang_scan_passes():

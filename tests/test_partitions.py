@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -50,6 +51,27 @@ def test_stream_edge_cases():
     assert list(iter_partitions(1)) == [(1,)]
     with pytest.raises(ValueError):
         list(iter_partitions(-1))
+
+
+@functools.lru_cache(maxsize=None)
+def _partitions_by_recursion(n: int, largest: int) -> tuple:
+    """The partitions of n into parts <= largest in descending-lex order:
+    first part from the largest down, each followed by the partitions of
+    the rest into parts no larger."""
+    if n == 0:
+        return ((),)
+    return tuple(
+        (first,) + rest
+        for first in range(min(n, largest), 0, -1)
+        for rest in _partitions_by_recursion(n - first, first)
+    )
+
+
+def test_stream_matches_recursive_reference():
+    for n in range(31):
+        stream = list(iter_partitions(n))
+        assert stream == list(_partitions_by_recursion(n, n))
+        assert len(set(stream)) == len(stream)
 
 
 def test_stream_count_matches_table_counter():

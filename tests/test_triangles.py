@@ -429,6 +429,17 @@ def test_closed_form_oracle_values():
     assert closed_form_oracle("id", "id", 5, 3) == Fraction(6, 6)
 
 
+def test_closed_form_table_rows_build_their_family():
+    # one table drives the oracle, the check and the family list
+    assert triangles.CLOSED_FORM_FAMILIES == (
+        ("one", "one"), ("id", "id"), ("square", "id"),
+        ("id", "one"), ("one", "id"), ("tilde(one)", "one"),
+    )
+    assert tuple(triangles._CLOSED_FORMS) == triangles.CLOSED_FORM_FAMILIES
+    for (g_label, _), (make_g, _) in triangles._CLOSED_FORMS.items():
+        assert make_g().label == g_label
+
+
 def test_closed_form_oracle_errors():
     with pytest.raises(ValueError):
         closed_form_oracle("one", "one", 3, 0)
