@@ -124,6 +124,30 @@ def test_triangle_csv_scaled(capsys):
     assert out.strip().splitlines()[-1] == "6,720,120,274,225,85,15,1"
 
 
+# (g, h, n) -> sha256 of `triangle --scaled --format csv`: (sigma, h) past
+# four block edges of the column kernel, and the table (-1)^k 10^12 + k,
+# whose lane sums are large and of both signs, past two
+KERNEL_BYTES = {
+    ("sigma", "id", 130): "a6315bac434fda48e43c1325fde46045169b453b9c4a6ff7f7ba0a9496652086",
+    ("sigma", "one", 130): "e9d6040f304eba0b78d6b23372de8dde644b77c4314eb65bd4c896d3e745fe31",
+    ("lanes", "id", 70): "30e44d49ad3d88610e04fa5c96524bebb90e61f38247b6cdef48509adcdbf81b",
+    ("lanes", "one", 70): "38924071731fe838d579ed7ff76dbdfea6d22c4c6cbd6b7de4c626fe12b0e78c",
+}
+
+
+@pytest.mark.parametrize("g, h, n", list(KERNEL_BYTES))
+def test_scaled_csv_bytes_past_block_edges(g, h, n, tmp_path, capsys):
+    token = g
+    if g == "lanes":
+        table = tmp_path / "lanes.txt"
+        table.write_text("\n".join(["1"] + [str((-1) ** k * 10**12 + k) for k in range(2, 71)]))
+        token = f"custom={table}"
+    code, out, err = run(capsys, "triangle", "--scaled", "--format", "csv",
+                         "--g", token, "--h", h, "--n", str(n))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == KERNEL_BYTES[g, h, n]
+
+
 def test_triangle_custom_family_matches_api(tmp_path, capsys):
     table = tmp_path / "tilde_sigma.txt"
     vals = [Fraction(arith.sigma()(n), n) for n in range(1, 7)]
