@@ -16,6 +16,7 @@ execution is sequential regardless; results do not depend on it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -50,6 +51,7 @@ from .triangles import (
 )
 
 G_CHOICES = "one|id|square|sigma|sigma_k=K|custom=PATH"
+_SIGPIPE_EXIT = 141  # 128 + SIGPIPE: a reader of the output closed first
 _NAMED_G = {"one": arith.one, "id": arith.identity, "square": arith.square, "sigma": arith.sigma}
 
 
@@ -287,7 +289,7 @@ def _run_vertical(args) -> ConcavityReport:
 
 
 def _run_genfun(args) -> CheckResult:
-    xs = parse_xs(args.xs) if args.xs else list(DEFAULT_EVAL_POINTS)
+    xs = list(DEFAULT_EVAL_POINTS) if args.xs is None else parse_xs(args.xs)
     return genfun_crosscheck(parse_g(args.g), args.h, args.n_max, xs)
 
 
@@ -430,7 +432,16 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed first shows here, not at exit
+        return code
+    except BrokenPipeError:  # end as a shell reports a SIGPIPE, and quietly
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:  # drop what stdout holds, so exit has nothing to flush
+            with contextlib.suppress(BrokenPipeError):
+                sys.stdout.close()
+        return _SIGPIPE_EXIT
     except (ValueError, OSError, IndexError) as exc:
         print(f"lclab: error: {exc}", file=sys.stderr)
         return 2

@@ -10,31 +10,32 @@ is what everything else in this package consumes.
 
 Rows are stored integer-scaled: the entry kept for (n, m) is
 B(n, m) = L_n * A(n, m) with L_n = product of h(k) for k <= n (so n! when
-h = id, 1 when h = one).  In the scaled form the recursion is
-division-free, and iter_columns, its one evaluation, runs it in Horner
-form over the rows j = m-1 .. n-1 of column m-1,
+h = id, 1 when h = one).  In the scaled form the recursion is Horner's
+rule over the rows j = m-1 .. n-1 of column m-1,
 
     acc <- acc * h(j) + g(n-j) * B(j, m-1),    B(n, m) = final acc,
 
-so every product has one small operand (h(j) or a value of g) and the
-row scale is never stored.  For h = id the pass runs in blocks of _BLOCK
-consecutive rows [s, e), starting at j = m-1.  Once per column each block
-gets the weighted entries qb(j) = B(j, m-1) h(j+1)...h(e-1) and the block
-weight P = h(s)...h(e-1); then every entry runs Horner over its whole
-blocks,
+so every product has one small operand and the row scale is never
+stored.  iter_columns, its one evaluation, runs it in blocks of _BLOCK
+consecutive rows [s, e), s = m-1, m-1+_BLOCK, ..., the last cut at
+e = n_max+1.  Once per column each block gets the weighted entries
+qb(j) = B(j, m-1) h(j+1)...h(e-1), the block weight P = h(s)...h(e-1)
+and, for each of its rows r, W(r) = h(r)...h(e-1).  The entry of row r
+runs Horner over the blocks up to and including the one that holds r,
 
-    acc <- acc * P + sum over j in [s, e) of g(n-j) qb(j),
+    acc <- acc * P + sum over j in [s, e), j < r, of g(r-j) qb(j),
 
-and finishes the partial block that ends at n with the step above.  Each
-term is one product of a value of g with an entry, summed in C, and the
-weights grow an operand by at most (_BLOCK - 1) log2 n bits, so no
-column-wide scale and no division is needed.  For h = one the weights
-are 1, so each entry is one such sum over rows m-1 .. n-1.
+and ends at B(r, m) W(r): each weight h(j+1)...h(r-1) of a row j < r has
+picked up the factors h(r)...h(e-1).  So B(r, m) = acc / W(r), one exact
+division per entry.  h(0) weighs no entry and is taken as 1, so that
+W(0) is not 0 at m = 1.  For h = one the weights are 1: there is one
+block, from row m-1 to n_max, and no division.  Each term is one product
+of a value of g with an entry, summed in C, and the weights grow an
+operand by at most _BLOCK log2 n bits.
 
 Those sums run in lanes: one sum serves the _LANES rows n .. n+_LANES-1
-of a lane group, n = m-1, m-1+_LANES, ...  A run of entries x(j) from row
-s on (column m-1 from row m-1 for h = one, a block's qb for h = id), with
-x zero outside the run, is packed at a lane width of K bits,
+of a lane group, n = m-1, m-1+_LANES, ...  A block's qb, x(j) for j in
+[s, e) and zero outside, is packed at a lane width of K bits,
 
     X(i) = sum over lanes t < _LANES of x(i+t) 2^(tK),    i >= s-_LANES+1,
 
@@ -43,19 +44,19 @@ and then, putting j = i+t in lane t,
     sum over i < n of g(n-i) X(i) = sum over t of c(t) 2^(tK),
     c(t) = sum over j < n+t of g(n+t-j) x(j),
 
-which is row n+t's sum: its whole sum for h = one, and for h = id the
-term of a block [s, e) with e <= n, where X(i) = 0 for i >= e.  Since _LANES divides _BLOCK and the groups
-start at m-1, the rows of a group have the same whole blocks, and each
-lane then runs its own Horner step acc * P + c(t) and its own partial
-block.  _next_column picks K so that the lanes can be read back exactly.
-Every product is still small-by-big, a value of g times a packed entry,
-so the limb work is that of _LANES separate sums, but the count of
-bigint operations, each of which allocates an int, falls by a factor of
-_LANES.  When every value of g is 1, the steps before j = n-1 sum to
-B(n-1, m), so the entry is one step from there: that is the Stirling rule
-B(n, m) = (n-1) B(n-1, m) + B(n-1, m-1) for h = id and Pascal's rule for
-h = one.  build_triangle collects the columns into rows, and exact
-rational values are recovered on demand by dividing by L_n.
+which is row n+t's sum over the block.  Since _LANES divides _BLOCK and
+the groups start at m-1, no group straddles a block edge, so the rows of
+a group share their blocks, and each lane runs its own Horner step
+acc * P + c(t) and its own division by W.  _next_column picks K so that
+the lanes can be read back exactly.  Every product is still small-by-big,
+a value of g times a packed entry, so the limb work is that of _LANES
+separate sums, but the count of bigint operations, each of which
+allocates an int, falls by a factor of _LANES.  When every value of g is
+1, the steps before j = n-1 sum to B(n-1, m), so the entry is one step
+from there: that is the Stirling rule B(n, m) = (n-1) B(n-1, m) +
+B(n-1, m-1) for h = id and Pascal's rule for h = one.  build_triangle
+collects the columns into rows, and exact rational values are recovered
+on demand by dividing by L_n.
 
 The loop runs on the integer table D g, with D the lcm of g's
 denominators (arith._integers; an integer g is the case D = 1).  Every
@@ -89,7 +90,7 @@ from .series import Series, eichler_integral, euler_product
 from .stirling import stirling_first
 
 _H_KINDS = ("one", "id")
-_BLOCK = 32  # rows per block of the h = id column kernel (measured; 64 is as fast)
+_BLOCK = 32  # rows per block of the h = id column kernel (measured: 64 is as fast, 16 slower)
 _LANES = 4  # rows per packed sum of the column kernel; divides _BLOCK
 
 
@@ -278,50 +279,42 @@ def _columns(dg: list, d: int, weighted: bool, n_max: int):
 
 def _next_column(prev: list, gvals: list, weighted: bool, ones: bool, m: int) -> list:
     """Column m from column m-1 (prev); ones says every value of g is 1.
-    Otherwise the rows run in the lane groups of the module docstring: for
-    h = one one packed sum over column m-1 gives a group's entries; for
-    h = id one packed sum per whole block gives the group's block sums,
-    and each lane finishes its partial block by the plain step.
+    Otherwise a lane group of the module docstring takes one packed sum per
+    block up to the one that holds its rows, runs Horner over those sums
+    lane by lane, and divides each lane by its row's W (h = id only).
 
     The lane width is K = bits(G max |x|) + 1, with G the sum of |g(k)| over
-    k = 1..n_max and x the packed run (column m-1 for h = one, one block's
-    qb for h = id).  Lane t holds c(t) = sum of g(n+t-j) x(j), one term per
-    j, so the k = n+t-j are distinct, and |c(t)| <= G max |x| < 2^(K-1);
-    past n_max the table reads as zero, so lanes of rows past the last
-    obey the same bound.  A sum V = sum of c(t) 2^(tK) with every
-    |c(t)| < 2^(K-1) gives its lanes back low lane first: V = c(0) mod 2^K,
-    and c(0) is the one residue in [-2^(K-1), 2^(K-1)), so it is the low
-    K bits less 2^K when those are >= 2^(K-1); then (V - c(0)) / 2^K is the
-    sum over the lanes t >= 1, one lane down (_unpack).  The bound holds
-    for any sign of g and of the entries, so negative tables and the D g
-    table of the content path need nothing more."""
+    k = 1..n_max and x the packed run, one block's qb.  Lane t holds
+    c(t) = sum of g(n+t-j) x(j), one term per j, so the k = n+t-j are
+    distinct, and |c(t)| <= G max |x| < 2^(K-1); past n_max the table
+    reads as zero, so lanes of rows past the last obey the same bound.  A
+    sum V = sum of c(t) 2^(tK) with every |c(t)| < 2^(K-1) gives its lanes
+    back low lane first: V = c(0) mod 2^K, and c(0) is the one residue in
+    [-2^(K-1), 2^(K-1)), so it is the low K bits less 2^K when those are
+    >= 2^(K-1); then (V - c(0)) / 2^K is the sum over the lanes t >= 1, one
+    lane down (_unpack).  The bound holds for any sign of g and of the
+    entries, so negative tables and the D g table of the content path need
+    nothing more."""
     n_max = len(prev) - 1
-    col = [0] * (n_max + 1)
     if ones:  # the steps j < n-1 add up to B(n-1, m)
+        col = [0] * (n_max + 1)
         for n in range(m, n_max + 1):
             col[n] = col[n - 1] * (n - 1 if weighted else 1) + prev[n - 1]
         return col
-    rg = [0] * _LANES + gvals[::-1]  # rg[_LANES + n_max - k] = g(k), 0 past n_max
-    gsum = sum(map(abs, gvals))
-    if not weighted:
-        packed, width = _pack(prev[m - 1 :], gsum)
-        del col[m - 1 :]
-        for n in range(m - 1, n_max + 1, _LANES):
-            col += _unpack(sum(map(mul, rg[n_max - n + m : n_max + _LANES], packed)), width)
-        del col[n_max + 1 :]  # the lanes of rows past n_max
-        return col
-    blocks = _blocks(prev, m, gsum)
+    rg = [0] * _LANES + gvals[:0:-1]  # rg[_LANES + n_max - k] = g(k): 0 past n_max, none for k < 1
+    blocks = _blocks(prev, m, sum(map(abs, gvals)), weighted)
+    col = [0] * (m - 1)
     for n in range(m - 1, n_max + 1, _LANES):  # no group straddles a block edge
-        accs, s = [0] * _LANES, m - 1
-        for (packed, width), w in blocks[: (n - s) // _BLOCK]:
-            lo = n_max - n + s + 1
+        b, i = divmod(n - m + 1, _BLOCK)  # row n is row i of block b
+        accs, lo = None, n_max - n + m
+        for (packed, width), p, ws in blocks[: b + 1]:
             lanes = _unpack(sum(map(mul, rg[lo : lo + len(packed)], packed)), width)
-            accs = [acc * w + c for acc, c in zip(accs, lanes)]
-            s += _BLOCK
-        for r, acc in zip(range(n, min(n + _LANES, n_max + 1)), accs):
-            for j in range(s, r):
-                acc = acc * j + gvals[r - j] * prev[j]
-            col[r] = acc
+            accs = lanes if accs is None else [acc * p + c for acc, c in zip(accs, lanes)]
+            lo += _BLOCK
+        if weighted:  # B(r, m) = acc / W(r), exactly
+            accs = [acc // w for acc, w in zip(accs, ws[i:])]
+        col += accs
+    del col[n_max + 1 :]  # the lanes of rows past n_max
     return col
 
 
@@ -355,18 +348,22 @@ def _unpack(v: int, width: int) -> list:
     return lanes
 
 
-def _blocks(prev: list, m: int, gsum: int) -> list:
-    """For h = id, the whole blocks [s, e) of rows of column m-1 (prev),
-    s = m-1, m-1+_BLOCK, ... and e <= n_max: per block the pair (qb, P) of
-    the module docstring, with qb over j = s..e-1 packed by _pack."""
+def _blocks(prev: list, m: int, gsum: int, weighted: bool) -> list:
+    """The blocks [s, e) of rows of column m-1 (prev), s = m-1, m-1+_BLOCK,
+    ..., the last cut at e = n_max+1: per block the triple (qb, P, W) of the
+    module docstring, with qb over j = s..e-1 packed by _pack and W the list
+    of the W(r) over r = s..e-1.  For h = one it is the single block from
+    s = m-1 on, with P = 1 and no W: its weights are 1."""
+    if not weighted:
+        return [(_pack(prev[m - 1 :], gsum), 1, None)]
     blocks = []
-    for s in range(m - 1, len(prev) - _BLOCK, _BLOCK):
-        qb, w = [], 1
-        for j in range(s + _BLOCK - 1, s - 1, -1):  # w = h(j+1)...h(e-1)
+    for s in range(m - 1, len(prev), _BLOCK):
+        qb, ws, w = [], [], 1
+        for j in range(min(s + _BLOCK, len(prev)) - 1, s - 1, -1):  # w = h(j+1)...h(e-1)
             qb.append(prev[j] * w)
-            w *= j
-        qb.reverse()
-        blocks.append((_pack(qb, gsum), w))
+            w *= j or 1  # h(0) weighs no entry; 1 keeps W(0) nonzero at m = 1
+            ws.append(w)
+        blocks.append((_pack(qb[::-1], gsum), w, ws[::-1]))
     return blocks
 
 

@@ -60,6 +60,9 @@ def test_domain_validation():
         s(0)
     with pytest.raises(ValueError):
         s(-3)
+    for sieve in (arith.divisor_sigma_sieve, arith.moebius_sieve):
+        with pytest.raises(ValueError, match="sieve limit must be >= 0"):
+            sieve(-1)
 
 
 def test_tilde_values():

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -368,11 +369,34 @@ def test_check_genfun_and_euler(capsys):
 
 
 def test_check_genfun_rejects_empty_point_list(capsys):
-    code, out, err = run(
-        capsys, "check", "genfun", "--g", "sigma", "--h", "id", "--n-max", "3", "--xs", ","
-    )
-    assert (code, out) == (2, "")
-    assert err == "lclab: error: genfun needs at least one evaluation point\n"
+    for xs in (("--xs", ","), ("--xs=",)):  # an empty value is a list, not "no --xs"
+        code, out, err = run(capsys, "check", "genfun", "--g", "sigma", "--h", "id",
+                             "--n-max", "3", *xs)
+        assert (code, out) == (2, "")
+        assert err == "lclab: error: genfun needs at least one evaluation point\n"
+
+
+@pytest.mark.parametrize("argv, read", [
+    # 6 MB of rows: the reader takes 10 bytes and leaves mid-stream
+    (("triangle", "--g", "sigma", "--h", "id", "--n", "200", "--format", "csv"), 10),
+    # one buffered line, flushed after the reader has gone
+    (("check", "table1", "--m-max", "7"), 0),
+])
+def test_closed_stdout_ends_quietly_with_sigpipe_status(argv, read):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    cmd = [sys.executable, "-m", "lclab.cli", *argv]
+    if read:
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+    else:  # the read end is closed before the command starts
+        r, w = os.pipe()
+        os.close(r)
+        proc = subprocess.Popen(cmd, stdout=w, stderr=subprocess.PIPE, env=env)
+        os.close(w)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
 
 
 def test_check_euler_rejects_negative_n_max(capsys):

@@ -51,6 +51,10 @@ def test_stream_edge_cases():
     assert list(iter_partitions(1)) == [(1,)]
     with pytest.raises(ValueError):
         list(iter_partitions(-1))
+    with pytest.raises(ValueError, match="partitions are defined for n >= 0"):
+        count_partitions(-1)
+    with pytest.raises(ValueError, match="weight must be >= 0"):
+        nekrasov_okounkov_poly(-1)
 
 
 @functools.lru_cache(maxsize=None)

@@ -161,6 +161,11 @@ def test_truncate():
     assert s.truncate(2).coeffs == [1, 2, 3]
     with pytest.raises(ValueError):
         s.truncate(9)
+    with pytest.raises(IndexError, match="coefficient 4 outside truncation order 3"):
+        s.coefficient(4)
+    with pytest.raises(ValueError, match="a series needs at least the constant coefficient"):
+        Series([])
+    assert Series([5]).derivative() == Series([0])  # order 0 stays order 0
 
 
 @given(series_strategy(zero_constant=True), series_strategy(zero_constant=True))

@@ -31,6 +31,8 @@ def test_outside_support():
     assert stirling_first(0, 0) == 1
     with pytest.raises(ValueError):
         stirling_first(-1, 0)
+    with pytest.raises(ValueError, match="row index must be >= 0"):
+        stirling_row(-1)
 
 
 def test_diagonal_and_first_column():
@@ -78,6 +80,8 @@ def test_delta_values_and_signs():
     assert all(delta(n) < 0 for n in range(5, 80))
     with pytest.raises(ValueError):
         delta(1)
+    with pytest.raises(ValueError, match="identities need n >= 2"):
+        harmonic_column_identity(1)
 
 
 def test_delta_crossing_matches_harmonic_threshold():

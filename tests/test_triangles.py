@@ -26,6 +26,8 @@ def test_poly_basics():
     assert p.degree == 2
     assert p(3) == 3 + 18
     assert p.coefficient(5) == 0
+    with pytest.raises(IndexError, match="negative power"):
+        p.coefficient(-1)
     assert Poly([1, 0, 0]) == Poly([1])
     assert Poly([]).coeffs == [0]
 
@@ -320,6 +322,8 @@ def test_outside_and_errors():
     assert tri.value(3, 7) == 0
     with pytest.raises(IndexError):
         tri.scaled(7, 1)
+    with pytest.raises(IndexError, match=r"row 7 outside triangle \(n_max = 6\)"):
+        tri.row_scaled(7)
     with pytest.raises(ValueError):
         build_triangle(arith.sigma(), "diag", 5)
 
