@@ -24,6 +24,6 @@ print(" ", {m: window_top(2, m) for m in range(2, 9)})
 
 print()
 report = hong_zhang_scan(2, 8)
-print(f"scan C=2, m <= 8 (builds the triangle to n = {window_top(2, 8) + 1}):")
+print(f"scan C=2, m <= 8 (streams the columns to n = {window_top(2, 8) + 1}):")
 print(f"  passed = {report.passed}, clipped = {report.clipped}, "
       f"failures = {report.failures}")

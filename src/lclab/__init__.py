@@ -32,6 +32,7 @@ from .concavity import (
     horizontal_check,
     hz_equivalence_check,
     is_logconcave,
+    sibuya_strict_check,
     stirling_column_failures,
     stirling_column_first_failure,
     vertical_check,
@@ -47,13 +48,7 @@ from .partitions import (
     taylor_shift,
 )
 from .series import Series, eichler_integral, euler_product
-from .stirling import (
-    delta,
-    harmonic_column_identity,
-    sibuya_strict_check,
-    stirling_first,
-    stirling_row,
-)
+from .stirling import delta, stirling_first, stirling_row
 from .triangles import (
     CheckResult,
     Poly,
@@ -65,6 +60,7 @@ from .triangles import (
     convert,
     euler_product_crosscheck,
     genfun_crosscheck,
+    harmonic_column_identity,
     iter_columns,
 )
 

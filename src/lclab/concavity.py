@@ -9,7 +9,7 @@ at fixed m, and windowed vertical checks restrict the centers to
 column past its edge).
 
 Every scan runs through one kernel, _scan, over three aligned lines:
-shifted views of one column or of a zero-padded sequence, or columns m-1,
+shifted views of one column or of one sequence, or columns m-1,
 m and m+1 for rows.  Columns come from a Triangle or, for scans given a
 family, from triangles.iter_columns, read without building the triangle.
 Comparisons never leave the stored entries.  With row scale L_n the
@@ -26,7 +26,9 @@ is not defined for them.
 
 The Stirling column scans behind Table 1 are column scans of the (one, id)
 triangle, whose stored column m is S(n, m) = n! A(n, m); iter_columns
-fills it by the Stirling rule, so it needs no table of its own.
+fills it by the Stirling rule, so it needs no table of its own.  Sibuya's
+strict row inequality is the plain comparison on the row m! S(n, m), so
+sibuya_strict_check runs through _scan too.
 
 The conjecture-style scan over the divisor-sum coefficients b_(m, n) of
 f(q)^m, with f the weight-normalized divisor-sum series, runs on the
@@ -42,6 +44,7 @@ from math import factorial
 
 from .arith import ArithFn, _fraction, _ratio, one, sigma, tilde
 from .series import eichler_integral
+from .stirling import stirling_row
 from .triangles import CheckResult, Triangle, _check_family, _crosscheck, iter_columns
 
 
@@ -113,8 +116,10 @@ def _scan(left, center, right, at, weighted: bool = False):
 
 class _ColumnStream:
     """Columns of (g, h) to row n_max, read in increasing m without building
-    the triangle: g, h, n_max and column(m) as on a Triangle, but holding
-    only the latest column.  m_last, the last column read, must be >= 1."""
+    the triangle: g, h, n_max, scale(n) and column(m) as on a Triangle, but
+    holding only the latest column.  m_last, the last column read, must be >= 1."""
+
+    scale = Triangle.scale
 
     def __init__(self, g: ArithFn, h: str, n_max: int, m_last: int):
         _check_family(h, n_max)
@@ -311,7 +316,7 @@ def stirling_column_first_failure(m: int, n_limit: int) -> int | None:
     (n+1) S(n, m)^2 < n S(n-1, m) S(n+1, m).  Returns None when the whole
     range 1..n_limit passes.
     """
-    return first_vertical_failure(_stirling_stream(n_limit, m), m, n_limit)
+    return first_failure_table(m, n_limit)[-1]
 
 
 def first_failure_table(m_max: int, n_limit: int = 1500) -> list[int | None]:
@@ -328,6 +333,17 @@ def stirling_column_failures(m: int, n_to: int) -> list[int]:
     """All failing centers n <= n_to of the (one, id) column m."""
     hits = _column(_stirling_stream(n_to, m), m, n_to)
     return [n for (n, _), failed in hits if failed]
+
+
+def sibuya_strict_check(n: int) -> bool:
+    """Strict row log-concavity of the Stirling numbers with the tilt m/(m+1).
+
+    Checks m S(n, m)^2 > (m+1) S(n, m+1) S(n, m-1) for 2 <= m <= n-1, which
+    on T_m = m! S(n, m) is T_m^2 > T_(m-1) T_(m+1): any _scan hit there, a
+    failure or an equality, makes it false.  Vacuously true below n = 3.
+    """
+    row = _nonnegative([factorial(m) * s for m, s in enumerate(stirling_row(n))], lambda m: (n, m))
+    return next(_scan(row[1:], row[2:], row[3:], lambda i: (n, i + 1)), None) is None
 
 
 def hong_zhang_coefficients(m: int, n_max: int) -> list[Fraction]:
@@ -359,7 +375,7 @@ def hz_equivalence_check(m_max: int, n_max: int) -> CheckResult:
         for m in range(1, m_max + 1):
             b, geo_col, exp_col = hong_zhang_coefficients(m, n_max), geo.column(m), exp.column(m)
             for n in range(1, n_max + 1):
-                exp_val = _ratio(factorial(m) * exp_col[n], factorial(n))
+                exp_val = _ratio(factorial(m) * exp_col[n], exp.scale(n))
                 # the series value against both triangle routes at once
                 yield (n, m), (b[n], b[n]), (geo_col[n], exp_val)
 

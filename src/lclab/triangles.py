@@ -74,6 +74,8 @@ exp(x E(T)) when h = id and 1 / (1 - x G(T)) when h = one, with E and G the
 series of g(n)/n and g(n).  A third route goes through the Euler product
 prod (1 - T^n)^(-x f(n)/n) with f = mu * g.  The crosscheck functions here
 compare those routes against the recursion and never share code with it.
+Next to convert, harmonic_column_identity checks the closed forms of the
+(one, id) columns 1 and 2 against stirling and the converted triangle.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ from fractions import Fraction
 from operator import mul
 
 from .arith import (
-    ArithFn, identity, moebius_convolve, one, square, tilde, _fraction, _integers, _ratio,
+    ArithFn, harmonic, identity, moebius_convolve, one, square, tilde,
+    _fraction, _integers, _ratio,
 )
 from .series import Series, eichler_integral, euler_product
 from .stirling import stirling_first
@@ -249,7 +252,7 @@ def _check_family(h: str, n_max: int) -> None:
 
 
 def iter_columns(g: ArithFn, h: str, n_max: int):
-    """Yield the stored columns m = 1..n_max of (g, h), each a list of
+    """Yield the stored columns m = 1..n_max of (g, h), each a new list of
     B(n, m) over n = 0..n_max: the one evaluation of the recursion, from the
     seed column [1, 0, ..., 0].  Arguments are checked, and g's values
     fetched, on the call, not on the first next()."""
@@ -268,7 +271,7 @@ def _columns(dg: list, d: int, weighted: bool, n_max: int):
     for m in range(1, n_max + 1):
         col = _next_column(col, dg, weighted, ones, m)
         if d == 1:
-            yield col
+            yield col[:]  # the next step reads col
             continue
         content = math.gcd(*col)
         if content > 1:
@@ -395,6 +398,24 @@ def convert(tri: Triangle) -> Triangle:
         den = tri.scale(n) * d
         new_rows.append([_ratio(mfac[m] * c, den) for m, c in enumerate(row, 1)])
     return Triangle(tilde(tri.g), "one", new_rows)
+
+
+def harmonic_column_identity(n: int) -> bool:
+    """Check the factorial and harmonic closed forms of columns 1 and 2.
+
+    S(n, 1) = (n-1)!, S(n, 2) = (n-1)! H(n-1), and in the normalized
+    geometric family the m = 2 entry is 2 H(n-1) / n.  The last form is
+    checked against an independently built triangle, not against S.
+    """
+    if n < 2:
+        raise ValueError("identities need n >= 2")
+    fac = math.factorial(n - 1)
+    if stirling_first(n, 1) != fac:
+        return False
+    if stirling_first(n, 2) != fac * harmonic(n - 1):
+        return False
+    converted = convert(build_triangle(one(), "id", n))
+    return converted.value(n, 2) == Fraction(2, n) * harmonic(n - 1)
 
 
 def check_conversion(g: ArithFn, n_max: int) -> CheckResult:

@@ -26,7 +26,8 @@ from lclab.concavity import (
 )
 from lclab.partitions import check_no_identity, count_partitions
 from lclab.series import Series, eichler_integral
-from lclab.stirling import delta, sibuya_strict_check
+from lclab.concavity import sibuya_strict_check
+from lclab.stirling import delta
 from lclab.triangles import (
     build_triangle,
     check_conversion,

@@ -201,6 +201,15 @@ def test_column_stream_reads_like_the_triangle():
         _ColumnStream(g, "id", 12, 0)
 
 
+def test_stream_columns_belong_to_the_caller():
+    tri = build_triangle(arith.sigma(), "id", 12)
+    stream = _ColumnStream(arith.sigma(), "id", 12, 12)
+    for m in range(1, 13):
+        col = stream.column(m)
+        assert col == tri.column(m)
+        col[m] += 1  # must not reach column m + 1
+
+
 @pytest.mark.parametrize(
     "g, h, C, m_max, include_m1",
     [(arith.sigma, "id", Fraction(3, 2), 7, False), (arith.one, "id", 2, 6, True),

@@ -6,13 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lclab import arith
-from lclab.stirling import (
-    delta,
-    harmonic_column_identity,
-    sibuya_strict_check,
-    stirling_first,
-    stirling_row,
-)
+from lclab.concavity import sibuya_strict_check
+from lclab.stirling import delta, stirling_first, stirling_row
+from lclab.triangles import harmonic_column_identity
 from lclab.triangles import iter_columns
 
 
@@ -23,6 +19,13 @@ def test_small_rows():
     assert stirling_first(6, 3) == 225
     assert stirling_first(6, 2) == 274
     assert stirling_first(5, 2) == 50
+
+
+def test_rows_are_copies_of_the_cache():
+    row = stirling_row(5)
+    row[2] += 1
+    assert stirling_first(5, 2) == 50
+    assert stirling_row(5) == [0, 24, 50, 35, 10, 1]
 
 
 def test_outside_support():
@@ -66,6 +69,16 @@ def test_one_id_columns_are_stirling_numbers():
 def test_sibuya_strict_inequality():
     # m S(n,m)^2 > (m+1) S(n,m+1) S(n,m-1) strictly, all interior m
     assert all(sibuya_strict_check(n) for n in range(3, 120))
+
+
+@pytest.mark.parametrize("row, verdict", [
+    ([0, 5, 6, 6], False),  # 6^2 > 5 * 6, but the tilt fails: 2 * 6^2 < 3 * 5 * 6
+    ([0, 2, 3, 3], False),  # the tilted sides are equal: 2 * 3^2 = 3 * 2 * 3
+    ([0, 2, 3, 1], True),  # 2 * 3^2 > 3 * 2 * 1
+])
+def test_sibuya_check_is_strict_and_tilted(monkeypatch, row, verdict):
+    monkeypatch.setattr("lclab.concavity.stirling_row", lambda n: row)
+    assert sibuya_strict_check(3) is verdict
 
 
 def test_harmonic_column_identities():

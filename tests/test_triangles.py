@@ -344,6 +344,20 @@ def test_columns_of_a_triangle():
     assert list(iter_columns(arith.sigma(), "id", 4)) == [tri.column(m) for m in range(1, 5)]
 
 
+@pytest.mark.parametrize("h", ["one", "id"])
+@pytest.mark.parametrize("values", [
+    [1, 3, 4, 7, 6, 12, 8, 15, 13, 18],  # sigma: the packed lanes
+    [1] * 10,  # the all-ones rule
+    [1, Fraction(1, 2), 3, Fraction(-2, 3), 5, 1, 7, Fraction(5, 4), 9, 2],  # the content path
+])
+def test_yielded_columns_belong_to_the_caller(values, h):
+    # a caller's edit of a column must not reach the columns after it
+    clean = list(iter_columns(arith.from_table(values), h, 10))
+    for m, col in enumerate(iter_columns(arith.from_table(values), h, 10), 1):
+        assert col == clean[m - 1]
+        col[m] += 1
+
+
 @pytest.mark.parametrize(
     "make, h", [(arith.sigma, "id"), (arith.one, "id"), (arith.one, "one"), (arith.identity, "one")]
 )
