@@ -3,8 +3,9 @@
 Two top-level commands: `triangle` prints a built coefficient triangle in
 table, json, or csv form; `check` runs one of the named verification or
 scan routines and exits 0 on pass, 1 when failures were found, 2 on usage
-or input errors.  All output goes to stdout unless --out FILE is given;
-`triangle` writes each row as it is formatted, never the whole text.
+or input errors, out of memory among them.  All output goes to stdout
+unless --out FILE is given; `triangle` writes each row as it is
+formatted, never the whole text.
 
 Machine formats encode every rational as a "p/q" (or plain integer)
 string, never as a float.  The triangle cache directory comes from
@@ -444,6 +445,9 @@ def main(argv=None) -> int:
         return _SIGPIPE_EXIT
     except (ValueError, OSError, IndexError) as exc:
         print(f"lclab: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # a size past memory is a usage error, not a failure found
+        print("lclab: error: out of memory", file=sys.stderr)
         return 2
     finally:
         sys.set_int_max_str_digits(limit)

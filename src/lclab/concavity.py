@@ -116,8 +116,8 @@ def _scan(left, center, right, at, weighted: bool = False):
 
 class _ColumnStream:
     """Columns of (g, h) to row n_max, read in increasing m without building
-    the triangle: g, h, n_max, scale(n) and column(m) as on a Triangle, but
-    holding only the latest column.  m_last, the last column read, must be >= 1."""
+    the triangle: g, h, n_max, scale(n) and column(m), a new list, as on a
+    Triangle, but holding only the latest.  m_last, the last m read, is >= 1."""
 
     scale = Triangle.scale
 
@@ -134,13 +134,13 @@ class _ColumnStream:
             raise ValueError(f"column {m} was already passed (at column {self._m})")
         while self._m < m:  # past n_max the columns are zero
             self._m, self._col = next(self._columns, (m, [0] * (self.n_max + 1)))
-        return self._col
+        return self._col[:]
 
 
-def _column(tri, m: int, reach: int):
-    """_scan over shifted views of column m of tri (a Triangle or a
-    _ColumnStream) at centers 1..reach; row n carries the scale n! if h = id."""
-    col = _nonnegative(tri.column(m)[: max(reach + 2, 0)], lambda n: (n, m))
+def _column(tri, m: int, top: int):
+    """_scan over column m of tri (a Triangle or a _ColumnStream) at centers
+    1..top, or to n_max - 1 where the column ends; row n has scale n! if h = id."""
+    col = _nonnegative(tri.column(m)[: max(top + 2, 0)], lambda n: (n, m))
     return _scan(col, col[1:], col[2:], lambda n: (n, m), weighted=tri.h == "id")
 
 
@@ -160,9 +160,13 @@ def is_logconcave(seq) -> int | None:
     """First index where a_i^2 < a_(i-1) a_(i+1), or None if log-concave.
 
     The sequence is zero-extended on both sides.  Negative entries make
-    the notion meaningless here, so they raise.
+    the notion meaningless here, so they raise; so do floats, whose binary
+    values would give the verdict instead of the exact ones.
     """
     vals = _nonnegative([0, *seq, 0], lambda i: i - 1)
+    for i, v in enumerate(vals[1:-1]):
+        if isinstance(v, float):
+            raise ValueError(f"entry {i} {v!r} is a float; give an int or a Fraction")
     hits = _scan(vals, vals[1:], vals[2:], lambda i: i - 1)
     return next((i for i, failed in hits if failed), None)
 
@@ -209,25 +213,23 @@ def vertical_check(
 
     Centers are capped at tri.n_max - 1 (the right neighbor must exist);
     the report notes when that cap clipped the request.  Columns past
-    tri.n_max are zero and pass.
+    tri.n_max are zero and pass unread.
     """
     m_to = tri.n_max if m_to is None else m_to
-    n_cap = tri.n_max - 1
-    requested = tri.n_max - 1 if n_to is None else n_to
-    n_top = min(requested, n_cap)
+    n_to = tri.n_max - 1 if n_to is None else n_to
     report = ConcavityReport(
-        "vertical", tri.g.label, tri.h, (1, n_top), (m_from, m_to),
-        clipped=requested > n_cap,
+        "vertical", tri.g.label, tri.h, (1, min(n_to, tri.n_max - 1)), (m_from, m_to),
+        clipped=n_to >= tri.n_max,
     )
-    for m in range(m_from, m_to + 1):
-        _collect(report, _column(tri, m, n_top))
+    for m in range(m_from, min(m_to, tri.n_max) + 1):
+        _collect(report, _column(tri, m, n_to))
     return report
 
 
 def first_vertical_failure(tri: Triangle, m: int, n_limit: int | None = None) -> int | None:
     """Smallest failing center of column m, or None within the range."""
-    n_top = tri.n_max - 1 if n_limit is None else min(n_limit, tri.n_max - 1)
-    return next((n for (n, _), failed in _column(tri, m, n_top) if failed), None)
+    top = tri.n_max if n_limit is None else n_limit
+    return next((n for (n, _), failed in _column(tri, m, top) if failed), None)
 
 
 def window_top(C: Fraction, m: int) -> int:
@@ -256,22 +258,20 @@ def c_vertical_check(
 
     Neighbors come from the full column, so a failure at the window edge
     is visible and lands in the boundary list.  m starts at 2 unless
-    include_m1 is set.  Columns whose window sticks out past the built
-    triangle are scanned as far as possible and flagged as clipped.
+    include_m1 is set.  A window past the built triangle is scanned to its
+    end and flags the report clipped; the last window, the widest, decides.
     """
     C = _fraction(C, "the window base C")
     m_from = 1 if include_m1 else 2
+    last = window_top(C, m_to)
     report = ConcavityReport(
-        "c-vertical", tri.g.label, tri.h,
-        (1, window_top(C, m_to)), (m_from, m_to),
+        "c-vertical", tri.g.label, tri.h, (1, last), (m_from, m_to),
+        clipped=m_from <= m_to and last >= tri.n_max,
         params={"C": C, "include_m1": include_m1},
     )
-    for m in range(m_from, m_to + 1):
+    for m in range(m_from, min(m_to, tri.n_max) + 1):  # later columns are zero: no hits
         top = window_top(C, m)
-        reach = min(top, tri.n_max - 1)
-        if reach < top:
-            report.clipped = True
-        _collect(report, _column(tri, m, reach), edge=top)
+        _collect(report, _column(tri, m, top), edge=top)
     return report
 
 
@@ -322,11 +322,13 @@ def stirling_column_first_failure(m: int, n_limit: int) -> int | None:
 def first_failure_table(m_max: int, n_limit: int = 1500) -> list[int | None]:
     """First failing center of the (one, id) columns m = 1..m_max.
 
-    One column stream feeds all the scans, so the cost is one
-    O(n_limit * m_max) Stirling-rule fill plus the comparisons.
+    One column stream feeds all the scans, so the cost is one Stirling-rule
+    fill plus the comparisons, to column n_limit + 1: later ones are zero.
     """
     stream = _stirling_stream(n_limit, m_max)
-    return [first_vertical_failure(stream, m, n_limit) for m in range(1, m_max + 1)]
+    reach = min(m_max, stream.n_max)
+    firsts = [first_vertical_failure(stream, m, n_limit) for m in range(1, reach + 1)]
+    return firsts + [None] * (m_max - reach)
 
 
 def stirling_column_failures(m: int, n_to: int) -> list[int]:

@@ -43,7 +43,9 @@ def stirling_first(n: int, m: int) -> int:
         raise ValueError("n must be >= 0")
     if m < 0 or m > n:
         return 0
-    return stirling_row(n)[m]
+    if len(_ROWS) <= n:
+        stirling_row(n)  # grows the cache; the cell is read in place, not copied
+    return _ROWS[n][m]
 
 
 def delta(n: int) -> Fraction:

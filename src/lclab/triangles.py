@@ -372,9 +372,11 @@ def _blocks(prev: list, m: int, gsum: int, weighted: bool) -> list:
 
 def build_triangle(g: ArithFn, h: str, n_max: int) -> Triangle:
     """The triangle of the family (g, h) up to row n_max: the columns of
-    iter_columns, collected into rows."""
+    iter_columns, collected into rows.  g's values are fetched first, so a
+    size past memory fails there, before n_max + 1 row lists are made."""
+    columns = iter_columns(g, h, n_max)
     rows: list[list] = [[1]] + [[] for _ in range(n_max)]
-    for m, col in enumerate(iter_columns(g, h, n_max), 1):
+    for m, col in enumerate(columns, 1):
         for n in range(m, n_max + 1):
             rows[n].append(col[n])
     return Triangle(g, h, rows)

@@ -399,6 +399,26 @@ def test_closed_stdout_ends_quietly_with_sigpipe_status(argv, read):
     assert (proc.wait(), err) == (141, b"")
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "horizontal", "--g", "one", "--h", "id", "--n-max", "1000000000000"),
+    ("triangle", "--g", "sigma", "--h", "id", "--n", "1000000000000"),
+])
+def test_out_of_memory_exits_two_in_one_line(argv):
+    # the child's address space is capped, so a regression cannot take the host's memory
+    resource = pytest.importorskip("resource")
+    cap = 512 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lclab.cli", *argv],
+        capture_output=True, env=env, preexec_fn=limit, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"lclab: error: out of memory\n")
+
+
 def test_check_euler_rejects_negative_n_max(capsys):
     code, out, err = run(capsys, "check", "euler", "--g", "sigma", "--n-max", "-1", "--x", "1")
     assert (code, out, err) == (2, "", "lclab: error: n_max must be >= 0\n")

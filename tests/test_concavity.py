@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 from lclab import arith
 from lclab.concavity import (
     MAX_WINDOW,
+    ConcavityReport,
     _ColumnStream,
     c_vertical_check,
     first_failure_table,
@@ -36,6 +37,10 @@ def test_is_logconcave_basics():
     assert is_logconcave([0, 0, 3, 5, 3, 0]) is None  # leading zeros are safe
     with pytest.raises(ValueError):
         is_logconcave([1, -2, 1])
+    # in binary floats 0.3^2 < 0.1 * 0.9; the exact values are equal, so no verdict is a float's
+    with pytest.raises(ValueError, match=r"^entry 0 0\.1 is a float"):
+        is_logconcave([0.1, 0.3, 0.9])
+    assert is_logconcave([Fraction(1, 10), Fraction(3, 10), Fraction(9, 10)]) is None
 
 
 def test_is_logconcave_takes_fractions():
@@ -208,6 +213,48 @@ def test_stream_columns_belong_to_the_caller():
         col = stream.column(m)
         assert col == tri.column(m)
         col[m] += 1  # must not reach column m + 1
+        assert stream.column(m) == tri.column(m)  # nor the next read of column m
+
+
+class _NoReadsPastTheTriangle:
+    """A triangle's columns, recorded as read; reading past n_max raises."""
+
+    def __init__(self, tri):
+        self.g, self.h, self.n_max, self.tri, self.read = tri.g, tri.h, tri.n_max, tri, []
+
+    def column(self, m):
+        if m > self.n_max:
+            raise AssertionError(f"column {m} read past n_max = {self.n_max}")
+        self.read.append(m)
+        return self.tri.column(m)
+
+
+@pytest.mark.parametrize("h", ["one", "id"])
+def test_column_scans_read_only_the_triangle(h):
+    tri = build_triangle(arith.one(), h, 8)
+    source = _NoReadsPastTheTriangle(tri)
+    report, expected = vertical_check(source, 1, 10**9), vertical_check(tri)
+    assert (report.failures, report.equalities) == (expected.failures, expected.equalities)
+    assert source.read == list(range(1, 9))
+    for C in (Fraction(1, 2), 1, Fraction(3, 2)):
+        source.read = []
+        report = c_vertical_check(source, C, 10**4, include_m1=True)
+        assert report.failures == c_vertical_check(tri, C, 8, include_m1=True).failures
+        assert report.clipped is (C > 1)
+        assert source.read == list(range(1, 9))
+
+
+def test_first_failure_table_reads_to_the_last_row_only(monkeypatch):
+    read = []
+    scan = first_vertical_failure
+
+    def spy(stream, m, n_limit):
+        read.append(m)
+        return scan(stream, m, n_limit)
+
+    monkeypatch.setattr("lclab.concavity.first_vertical_failure", spy)
+    assert first_failure_table(10**6, 3) == [2] + [None] * (10**6 - 1)
+    assert read == [1, 2, 3, 4]  # the stream holds rows 0..4
 
 
 @pytest.mark.parametrize(
@@ -389,6 +436,88 @@ def test_windowed_kernel_matches_value_oracle(values, h, C, include_m1):
     ]
     assert (report.failures, report.equalities) == _oracle_hits(tri, cells)
     assert report.boundary == [(n, m) for n, m in report.failures if n == window_top(C, m)]
+
+
+def _walk(tri, m, top):
+    """Failures and equalities of column m at centers 1..top on the exact
+    values; top must be at most tri.n_max - 1."""
+    return _oracle_hits(tri, [((n, m), (n - 1, m), (n + 1, m)) for n in range(1, top + 1)])
+
+
+def _vertical_reference(tri, m_from, m_to, n_to):
+    """vertical_check as a walk over every requested column, zero ones too."""
+    requested = tri.n_max - 1 if n_to is None else n_to
+    top = min(requested, tri.n_max - 1)
+    report = ConcavityReport(
+        "vertical", tri.g.label, tri.h, (1, top), (m_from, m_to),
+        clipped=requested > tri.n_max - 1,
+    )
+    for m in range(m_from, m_to + 1):
+        failures, equalities = _walk(tri, m, top)
+        report.failures += failures
+        report.equalities += equalities
+    return report
+
+
+def _windowed_reference(tri, C, m_to, include_m1):
+    """c_vertical_check as a walk over every requested column, each clipped
+    on its own."""
+    m_from = 1 if include_m1 else 2
+    report = ConcavityReport(
+        "c-vertical", tri.g.label, tri.h, (1, window_top(C, m_to)), (m_from, m_to),
+        params={"C": Fraction(C), "include_m1": include_m1},
+    )
+    for m in range(m_from, m_to + 1):
+        top = window_top(C, m)
+        reach = min(top, tri.n_max - 1)
+        report.clipped |= reach < top
+        failures, equalities = _walk(tri, m, reach)
+        report.failures += failures
+        report.equalities += equalities
+        report.boundary += [(n, k) for n, k in failures if n == top]
+    return report
+
+
+@given(
+    g_tables,
+    st.sampled_from(["one", "id"]),
+    st.integers(0, 12),
+    st.integers(0, 32),
+    st.integers(1, 3),
+    st.integers(-1, 15),
+    st.sampled_from([Fraction(1, 2), 1, Fraction(3, 2), 2]),
+    st.booleans(),
+)
+@example([1], "id", 1, 4, 1, 1, 1, False)  # no column scanned, and all are clipped
+@example([1, 1, 1, 1], "one", 4, 2, 1, 4, 2, False)  # n_to and the last window are n_max
+@example([1], "id", 0, 1, 1, 0, Fraction(1, 2), False)  # no column requested: not clipped
+def test_column_scans_match_a_walk_over_every_requested_column(
+    values, h, n_max, m_to, m_from, n_to, C, include_m1
+):
+    # columns past n_max are all zero: reading them or not gives one report
+    n_max = min(n_max, len(values))
+    m_to, n_to = min(m_to, n_max + 20), min(n_to, n_max + 3)
+    g = arith.from_table(values)
+    tri = build_triangle(g, h, n_max)
+
+    def sources():
+        return tri, _ColumnStream(g, h, n_max, max(m_to, 1))
+
+    for n_top in (None, n_to):
+        expected = _vertical_reference(tri, m_from, m_to, n_top)
+        assert [vertical_check(s, m_from, m_to, n_top) for s in sources()] == [expected] * 2
+    expected = _windowed_reference(tri, C, m_to, include_m1)
+    assert [c_vertical_check(s, C, m_to, include_m1=include_m1) for s in sources()] == [expected] * 2
+
+
+@given(st.integers(0, 12), st.data())
+def test_first_failure_table_matches_a_walk_over_every_column(n_limit, data):
+    m_max = data.draw(st.integers(1, n_limit + 21))
+    tri = build_triangle(arith.one(), "id", n_limit + 1)
+    expected = [
+        next((n for n, _ in _walk(tri, m, n_limit)[0]), None) for m in range(1, m_max + 1)
+    ]
+    assert first_failure_table(m_max, n_limit) == expected
 
 
 def test_stirling_failures_match_triangle_scan():
