@@ -117,11 +117,14 @@ def parse_xs(token: str) -> list[Fraction]:
     return [parse_rational(part) for part in token.split(",") if part.strip()]
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _sink(out: str | None):
+    """The one output of every command: the file --out names, else stdout."""
     if out:
-        Path(out).write_text(text + "\n")
+        with open(out, "w") as fh:
+            yield fh
     else:
-        print(text)
+        yield sys.stdout
 
 
 # ---------------------------------------------------------------- triangle
@@ -193,49 +196,36 @@ def cmd_triangle(args) -> int:
                 save_triangle(cache_dir, tri)
             except OSError as exc:  # the output does not depend on the cache
                 print(f"lclab: warning: cache not written: {exc}", file=sys.stderr)
-    if args.out:
-        with open(args.out, "w") as fh:
-            format_triangle(tri, args.format, args.scaled, fh)
-    else:
-        format_triangle(tri, args.format, args.scaled, sys.stdout)
+    with _sink(args.out) as fh:
+        format_triangle(tri, args.format, args.scaled, fh)
     return 0
 
 
 # ------------------------------------------------------------------ checks
 
 
-def _render_result(res: CheckResult, fmt: str) -> tuple[str, int]:
-    if fmt == "json":
-        return json.dumps(res.to_dict(), indent=2), 0 if res.passed else 1
+def _render_result(res: CheckResult) -> str:
     if res.passed:
         text = f"PASS {res.name}: {res.checked} comparisons"
         if res.note:
             text += f" ({res.note})"
-        return text, 0
+        return text
     lines = [f"FAIL {res.name}: mismatch at {res.first_mismatch} after {res.checked} comparisons"]
     if res.note:
         lines.append(f"  {res.note}")
-    return "\n".join(lines), 1
+    return "\n".join(lines)
 
 
 _LIST_CAP = 50
 
 
-def _render_report(report: ConcavityReport, fmt: str) -> tuple[str, int]:
-    if fmt == "json":
-        return json.dumps(report.to_dict(), indent=2), 0 if report.passed else 1
+def _render_report(report: ConcavityReport) -> str:
     status = "PASS" if report.passed else "FAIL"
     if report.mode == "horizontal":
-        head = (
-            f"{status} {report.mode}: g={report.g} h={report.h} "
-            f"rows {report.n_range[0]}..{report.n_range[1]}"
-        )
+        span = f"rows {report.n_range[0]}..{report.n_range[1]}"
     else:
-        head = (
-            f"{status} {report.mode}: g={report.g} h={report.h} "
-            f"m={report.m_range[0]}..{report.m_range[1]} centers n<={report.n_range[1]}"
-        )
-    lines = [head]
+        span = f"m={report.m_range[0]}..{report.m_range[1]} centers n<={report.n_range[1]}"
+    lines = [f"{status} {report.mode}: g={report.g} h={report.h} {span}"]
     if report.params:
         lines.append("  " + " ".join(f"{k}={v}" for k, v in report.params.items()))
     if not report.passed:
@@ -249,7 +239,7 @@ def _render_report(report: ConcavityReport, fmt: str) -> tuple[str, int]:
         shown = ", ".join(f"(n={n},m={m})" for n, m in report.equalities[:8])
         more = " ..." if len(report.equalities) > 8 else ""
         lines.append(f"  equality holds at: {shown}{more}")
-    return "\n".join(lines), 0 if report.passed else 1
+    return "\n".join(lines)
 
 
 def _m_selection(args, default_to) -> tuple[int, int]:
@@ -262,19 +252,6 @@ def _m_selection(args, default_to) -> tuple[int, int]:
     if lo < 1 or hi < lo:
         raise ValueError(f"bad column range {lo}..{hi}")
     return lo, hi
-
-
-def _render_first_failures(firsts: list, n_limit: int, fmt: str) -> tuple[str, int]:
-    if fmt == "json":
-        body = {
-            "check": "first-failure-table",
-            "n_limit": n_limit,
-            "first_failures": firsts,
-        }
-        text = json.dumps(body, indent=2)
-    else:
-        text = " ".join("none" if v is None else str(v) for v in firsts)
-    return text, 0 if all(v is not None for v in firsts) else 1
 
 
 def _run_horizontal(args) -> ConcavityReport:
@@ -372,15 +349,23 @@ CHECKS = {
 
 
 def cmd_check(args) -> int:
+    """Run one check and write its verdict as json or text; 0 on a pass, else 1."""
     result = CHECKS[args.what][2](args)
-    if isinstance(result, ConcavityReport):
-        text, code = _render_report(result, args.format)
-    elif isinstance(result, CheckResult):
-        text, code = _render_result(result, args.format)
+    table1 = isinstance(result, list)  # each column's first failing centre, or None
+    if args.format == "json":
+        body = {"check": "first-failure-table", "n_limit": args.n_limit,
+                "first_failures": result} if table1 else result.to_dict()
+        text = json.dumps(body, indent=2)
+    elif table1:
+        text = " ".join("none" if v is None else str(v) for v in result)
+    elif isinstance(result, ConcavityReport):
+        text = _render_report(result)
     else:
-        text, code = _render_first_failures(result, args.n_limit, args.format)
-    _emit(text, args.out)
-    return code
+        text = _render_result(result)
+    with _sink(args.out) as fh:
+        fh.write(text + "\n")
+    passed = None not in result if table1 else result.passed
+    return 0 if passed else 1
 
 
 # ------------------------------------------------------------------ parser
@@ -446,7 +431,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, IndexError) as exc:
         print(f"lclab: error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:  # a size past memory is a usage error, not a failure found
+    except (MemoryError, OverflowError):  # a size past memory or the index range is a usage error
         print("lclab: error: out of memory", file=sys.stderr)
         return 2
     finally:

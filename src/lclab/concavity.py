@@ -117,7 +117,8 @@ def _scan(left, center, right, at, weighted: bool = False):
 class _ColumnStream:
     """Columns of (g, h) to row n_max, read in increasing m without building
     the triangle: g, h, n_max, scale(n) and column(m), a new list, as on a
-    Triangle, but holding only the latest.  m_last, the last m read, is >= 1."""
+    Triangle, but holding only the latest.  m_last, the caller's last column,
+    bounds no read; it is only checked to be >= 1, which rejects m_max = 0."""
 
     scale = Triangle.scale
 

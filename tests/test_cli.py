@@ -16,6 +16,7 @@ from lclab import arith, cli
 from lclab.cache import entry_name
 from lclab.cli import _ratio_text, ingest_custom_g, main, parse_g, parse_rational, parse_xs
 from lclab.triangles import Triangle, build_triangle, closed_form_oracle
+from test_golden import GOLDEN, TABLES
 
 
 def run(capsys, *argv):
@@ -402,6 +403,10 @@ def test_closed_stdout_ends_quietly_with_sigpipe_status(argv, read):
 @pytest.mark.parametrize("argv", [
     ("check", "horizontal", "--g", "one", "--h", "id", "--n-max", "1000000000000"),
     ("triangle", "--g", "sigma", "--h", "id", "--n", "1000000000000"),
+    # sizes past the index range fail before anything is allocated
+    ("check", "horizontal", "--g", "one", "--h", "id", "--n-max", "100000000000000000000"),
+    ("triangle", "--g", "sigma", "--h", "id", "--n", "100000000000000000000"),
+    ("check", "table1", "--m-max", "3", "--n-limit", "100000000000000000000"),
 ])
 def test_out_of_memory_exits_two_in_one_line(argv):
     # the child's address space is capped, so a regression cannot take the host's memory
@@ -417,6 +422,18 @@ def test_out_of_memory_exits_two_in_one_line(argv):
         capture_output=True, env=env, preexec_fn=limit, timeout=120,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"lclab: error: out of memory\n")
+
+
+@pytest.mark.parametrize("argv", sorted(a for a, (code, _, _) in GOLDEN.items() if code in (0, 1)))
+def test_golden_output_through_out_file(argv, tmp_path, monkeypatch, capsys):
+    # one sink serves every command: --out FILE holds the bytes stdout would
+    for name, text in TABLES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LCLAB_CACHE", raising=False)
+    code, digest, err = GOLDEN[argv]
+    assert run(capsys, *argv.split(), "--out", "out.txt") == (code, "", err)
+    assert hashlib.sha256((tmp_path / "out.txt").read_bytes()).hexdigest() == digest
 
 
 def test_check_euler_rejects_negative_n_max(capsys):
