@@ -428,10 +428,10 @@ def main(argv=None) -> int:
             with contextlib.suppress(BrokenPipeError):
                 sys.stdout.close()
         return _SIGPIPE_EXIT
-    except (ValueError, OSError, IndexError) as exc:
+    except (ValueError, OSError, IndexError, OverflowError) as exc:  # a size past the index range too
         print(f"lclab: error: {exc}", file=sys.stderr)
         return 2
-    except (MemoryError, OverflowError):  # a size past memory or the index range is a usage error
+    except MemoryError:  # a size past memory is a usage error too
         print("lclab: error: out of memory", file=sys.stderr)
         return 2
     finally:

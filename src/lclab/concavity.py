@@ -38,6 +38,7 @@ that bridge against the series route first.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -282,18 +283,21 @@ MAX_WINDOW = 4096
 def _window_rows(C, m_max: int) -> int:
     """floor(C^m_max) + 1, the rows a windowed scan to column m_max reads;
     past MAX_WINDOW the quadratic build cost would run away.  For C > 1 the
-    windows grow with m, so C^k is multiplied up only to the first column k
-    past MAX_WINDOW, and a k before m_max is named without forming C^m_max."""
+    windows never shrink as m grows, so the first oversize column is
+    bisected between probes of window_top at 1, 2, 4, ... and m_max:
+    O(log m_max) exact powers, none past the first oversize probe."""
     C = _fraction(C, "the window base C")
-    num = den = 1
-    for k in range(1, m_max + 1 if C > 1 else 0):
-        num, den = num * C.numerator, den * C.denominator
-        if num // den > MAX_WINDOW:
-            at, tail = ("m_max", "") if k == m_max else (k, f" from column {k} (m_max = {m_max})")
-            raise ValueError(
-                f"window floor(C^{at}) = {num // den} exceeds {MAX_WINDOW}{tail}; "
-                "scan fewer columns or a smaller C"
-            )
+    lo, hi = 0, min(1, m_max)  # the window at lo fits; hi is the next probe
+    while C > 1 and lo < m_max:
+        if window_top(C, hi) <= MAX_WINDOW:
+            lo, hi = hi, min(2 * hi, m_max)
+            continue
+        k = bisect_right(range(hi), MAX_WINDOW, lo + 1, key=lambda j: window_top(C, j))
+        at, tail = ("m_max", "") if k == m_max else (k, f" from column {k} (m_max = {m_max})")
+        raise ValueError(
+            f"window floor(C^{at}) = {window_top(C, k)} exceeds {MAX_WINDOW}{tail}; "
+            "scan fewer columns or a smaller C"
+        )
     return window_top(C, m_max) + 1
 
 

@@ -520,14 +520,13 @@ def closed_forms_check(n_max: int) -> CheckResult:
     B(n, m) q = p L_n."""
 
     def cells():  # each value carries its family, which names a failure
-        for (g_label, h), (make_g, _) in _CLOSED_FORMS.items():
+        for (g_label, h), (make_g, form) in _CLOSED_FORMS.items():
             tri = build_triangle(make_g(), h, n_max)
             family = f"family ({g_label}, {h})"
             for n in range(1, n_max + 1):
                 ln = tri.scale(n)
-                for m in range(1, n + 1):
-                    oracle = closed_form_oracle(g_label, h, n, m)
-                    lhs = tri.scaled(n, m) * oracle.denominator
-                    yield (n, m), (family, lhs), (family, oracle.numerator * ln)
+                for m, b in enumerate(tri.row_scaled(n), 1):
+                    oracle = form(n, m)
+                    yield (n, m), (family, b * oracle.denominator), (family, oracle.numerator * ln)
 
     return _crosscheck("closed-forms", cells(), lambda a, b: a[0], f"6 families, n <= {n_max}")

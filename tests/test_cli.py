@@ -400,13 +400,16 @@ def test_closed_stdout_ends_quietly_with_sigpipe_status(argv, read):
     assert (proc.wait(), err) == (141, b"")
 
 
+PAST_INDEX = str(10**20)
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "horizontal", "--g", "one", "--h", "id", "--n-max", "1000000000000"),
     ("triangle", "--g", "sigma", "--h", "id", "--n", "1000000000000"),
-    # sizes past the index range fail before anything is allocated
-    ("check", "horizontal", "--g", "one", "--h", "id", "--n-max", "100000000000000000000"),
-    ("triangle", "--g", "sigma", "--h", "id", "--n", "100000000000000000000"),
-    ("check", "table1", "--m-max", "3", "--n-limit", "100000000000000000000"),
+    # sizes past the index range fail before anything is allocated, and say so
+    ("check", "horizontal", "--g", "one", "--h", "id", "--n-max", PAST_INDEX),
+    ("triangle", "--g", "sigma", "--h", "id", "--n", PAST_INDEX),
+    ("check", "table1", "--m-max", "3", "--n-limit", PAST_INDEX),
 ])
 def test_out_of_memory_exits_two_in_one_line(argv):
     # the child's address space is capped, so a regression cannot take the host's memory
@@ -421,7 +424,8 @@ def test_out_of_memory_exits_two_in_one_line(argv):
         [sys.executable, "-m", "lclab.cli", *argv],
         capture_output=True, env=env, preexec_fn=limit, timeout=120,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"lclab: error: out of memory\n")
+    cause = "cannot fit 'int' into an index-sized integer" if PAST_INDEX in argv else "out of memory"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", f"lclab: error: {cause}\n".encode())
 
 
 @pytest.mark.parametrize("argv", sorted(a for a, (code, _, _) in GOLDEN.items() if code in (0, 1)))

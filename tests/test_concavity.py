@@ -1,14 +1,16 @@
+import math
 import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from lclab import arith
+from lclab import arith, concavity
 from lclab.concavity import (
     MAX_WINDOW,
     ConcavityReport,
     _ColumnStream,
+    _window_rows,
     c_vertical_check,
     first_failure_table,
     first_vertical_failure,
@@ -328,6 +330,89 @@ def test_hong_zhang_window_guard():
     assert window_top(Fraction(2), 13) > MAX_WINDOW
     with pytest.raises(ValueError):
         hong_zhang_scan(2, 13)
+
+
+def _window_rows_reference(C, m_max):
+    """_window_rows walked one column at a time with window_top."""
+    for k in range(1, m_max + 1):
+        top = window_top(C, k)
+        if top > MAX_WINDOW:
+            at, tail = ("m_max", "") if k == m_max else (k, f" from column {k} (m_max = {m_max})")
+            raise ValueError(
+                f"window floor(C^{at}) = {top} exceeds {MAX_WINDOW}{tail}; "
+                "scan fewer columns or a smaller C"
+            )
+    return window_top(C, m_max) + 1
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# windows that land exactly on MAX_WINDOW at a probe column (8^4, 64^2, 2^12), then
+# an oversize column far below m_max, C = 1, and a negative m_max
+@example(Fraction(8), 4)
+@example(Fraction(8), 5)
+@example(Fraction(8), 6)
+@example(Fraction(64), 2)
+@example(Fraction(64), 3)
+@example(Fraction(2), 12)
+@example(Fraction(2), 13)
+@example(Fraction(3, 2), 21)
+@example(Fraction(3, 2), 400)
+@example(Fraction(1), 400)
+@example(Fraction(2), -1)
+@given(
+    st.integers(1, 40).flatmap(lambda q: st.builds(Fraction, st.integers(1, 3 * q), st.just(q))),
+    st.integers(-1, 400),
+)
+def test_window_rows_matches_a_column_by_column_walk(C, m_max):
+    assert _outcome(_window_rows, C, m_max) == _outcome(_window_rows_reference, C, m_max)
+
+
+@pytest.mark.parametrize("C, m_max, oversize", [
+    (Fraction(1000001, 1000000), 50000, False), (Fraction(3, 2), 10**9, True),
+])
+def test_window_rows_asks_for_logarithmically_many_windows(C, m_max, oversize, monkeypatch):
+    calls = []
+
+    def counted(C, m):
+        calls.append(m)
+        return window_top(C, m)
+
+    monkeypatch.setattr(concavity, "window_top", counted)
+    _outcome(_window_rows, C, m_max)
+    assert len(calls) <= 2 * math.ceil(math.log2(m_max)) + 3
+    assert (m_max in calls) != oversize  # no C^m_max once an earlier window is oversize
+
+
+# first failing centers n_1..n_8 of the (sigma, id) columns (D'Arcais)
+SIGMA_ID_FIRST_FAILURES = [3, 6, 21, 39, 73, 135, 251, 475]
+
+
+def test_sigma_id_column_first_failures():
+    stream = _ColumnStream(arith.sigma(), "id", 481, 8)
+    firsts = [first_vertical_failure(stream, m, 480) for m in range(1, 9)]
+    assert firsts == SIGMA_ID_FIRST_FAILURES
+
+
+@pytest.mark.parametrize("C, firsts, edges", [
+    (Fraction(5, 2), {2: 6, 4: 39, 5: 73}, [(6, 2), (39, 4)]),
+    (Fraction(3), dict(enumerate(SIGMA_ID_FIRST_FAILURES[:5], 1)), [(3, 1)]),
+])
+def test_sigma_id_window_scan_against_first_failures(C, firsts, edges):
+    # column m fails in its window exactly when n_m <= floor(C^m), and first at n_m
+    report = window_scan(arith.sigma(), "id", C, 5, include_m1=True)
+    found = {}
+    for n, m in report.failures:
+        found[m] = min(n, found.get(m, n))
+    expected = {m: n for m, n in enumerate(SIGMA_ID_FIRST_FAILURES[:5], 1) if n <= window_top(C, m)}
+    assert found == expected == firsts
+    on_edge = [(n, m) for m, n in expected.items() if n == window_top(C, m)]
+    assert on_edge == edges and set(edges) <= set(report.boundary)
 
 
 def test_scale_invariance_of_vertical_verdicts():

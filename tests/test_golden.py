@@ -111,15 +111,6 @@ def test_golden_output(argv, workdir, capsys):
     assert run(capsys, argv) == GOLDEN[argv]
 
 
-def test_golden_out_file_matches_stdout(workdir, capsys):
-    argv = "check cscan --g one --h id --C 2 --m-max 5 --include-m1"
-    code, digest, err = run(capsys, argv + " --out result.txt")
-    assert (code, err) == GOLDEN[argv][::2]
-    assert digest == hashlib.sha256(b"").hexdigest()
-    text = (workdir / "result.txt").read_text()
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[argv][1]
-
-
 def _inventory(parser: argparse.ArgumentParser, prefix: str = "") -> dict:
     """Every option of parser and of its subparsers, keyed by command path."""
     out = {}
