@@ -117,14 +117,9 @@ def parse_xs(token: str) -> list[Fraction]:
     return [parse_rational(part) for part in token.split(",") if part.strip()]
 
 
-@contextlib.contextmanager
 def _sink(out: str | None):
     """The one output of every command: the file --out names, else stdout."""
-    if out:
-        with open(out, "w") as fh:
-            yield fh
-    else:
-        yield sys.stdout
+    return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
 
 
 # ---------------------------------------------------------------- triangle

@@ -262,6 +262,8 @@ def c_vertical_check(
     is visible and lands in the boundary list.  m starts at 2 unless
     include_m1 is set.  A window past the built triangle is scanned to its
     end and flags the report clipped; the last window, the widest, decides.
+    That window, floor(C^m_to), is an exact power: a far m_to costs it even
+    on a small triangle (the streamed scans are bounded by their guard).
     """
     C = _fraction(C, "the window base C")
     m_from = 1 if include_m1 else 2
@@ -283,22 +285,22 @@ MAX_WINDOW = 4096
 def _window_rows(C, m_max: int) -> int:
     """floor(C^m_max) + 1, the rows a windowed scan to column m_max reads;
     past MAX_WINDOW the quadratic build cost would run away.  For C > 1 the
-    windows never shrink as m grows, so the first oversize column is
-    bisected between probes of window_top at 1, 2, 4, ... and m_max:
+    windows never shrink as m grows: window_top is probed at 1, 2, 4, ...
+    below m_max, then once at m_max, whose window is the answer if it fits;
+    else the first oversize column is bisected from the last fitting probe.
     O(log m_max) exact powers, none past the first oversize probe."""
     C = _fraction(C, "the window base C")
-    lo, hi = 0, min(1, m_max)  # the window at lo fits; hi is the next probe
+    lo, hi = 0, min(1, m_max)  # the window at lo, top, fits; hi is the next probe
     while C > 1 and lo < m_max:
-        if window_top(C, hi) <= MAX_WINDOW:
-            lo, hi = hi, min(2 * hi, m_max)
-            continue
-        k = bisect_right(range(hi), MAX_WINDOW, lo + 1, key=lambda j: window_top(C, j))
-        at, tail = ("m_max", "") if k == m_max else (k, f" from column {k} (m_max = {m_max})")
-        raise ValueError(
-            f"window floor(C^{at}) = {window_top(C, k)} exceeds {MAX_WINDOW}{tail}; "
-            "scan fewer columns or a smaller C"
-        )
-    return window_top(C, m_max) + 1
+        if (top := window_top(C, hi)) > MAX_WINDOW:
+            k = bisect_right(range(hi), MAX_WINDOW, lo + 1, key=lambda j: window_top(C, j))
+            at, tail = ("m_max", "") if k == m_max else (k, f" from column {k} (m_max = {m_max})")
+            raise ValueError(
+                f"window floor(C^{at}) = {window_top(C, k)} exceeds {MAX_WINDOW}{tail}; "
+                "scan fewer columns or a smaller C"
+            )
+        lo, hi = hi, min(2 * hi, m_max)
+    return (top if lo else window_top(C, m_max)) + 1  # a probe ran: lo = m_max
 
 
 def window_scan(g: ArithFn, h: str, C, m_max: int, *, include_m1: bool = False) -> ConcavityReport:
@@ -321,7 +323,7 @@ def stirling_column_first_failure(m: int, n_limit: int) -> int | None:
     (n+1) S(n, m)^2 < n S(n-1, m) S(n+1, m).  Returns None when the whole
     range 1..n_limit passes.
     """
-    return first_failure_table(m, n_limit)[-1]
+    return first_vertical_failure(_stirling_stream(n_limit, m), m, n_limit)
 
 
 def first_failure_table(m_max: int, n_limit: int = 1500) -> list[int | None]:

@@ -495,7 +495,6 @@ _CLOSED_FORMS = {
         lambda n, m: Fraction(math.factorial(m) * stirling_first(n, m), math.factorial(n)),
     ),
 }
-CLOSED_FORM_FAMILIES = tuple(_CLOSED_FORMS)
 
 
 def closed_form_oracle(g_label: str, h: str, n: int, m: int) -> Fraction:

@@ -259,6 +259,19 @@ def test_first_failure_table_reads_to_the_last_row_only(monkeypatch):
     assert read == [1, 2, 3, 4]  # the stream holds rows 0..4
 
 
+def test_stirling_column_first_failure_scans_its_column_only(monkeypatch):
+    read = []
+    scan = first_vertical_failure
+
+    def spy(stream, m, n_limit):
+        read.append(m)
+        return scan(stream, m, n_limit)
+
+    monkeypatch.setattr(concavity, "first_vertical_failure", spy)
+    assert stirling_column_first_failure(7, 1500) == 1330  # Table 1, column 7
+    assert read == [7]
+
+
 @pytest.mark.parametrize(
     "g, h, C, m_max, include_m1",
     [(arith.sigma, "id", Fraction(3, 2), 7, False), (arith.one, "id", 2, 6, True),
@@ -387,6 +400,20 @@ def test_window_rows_asks_for_logarithmically_many_windows(C, m_max, oversize, m
     _outcome(_window_rows, C, m_max)
     assert len(calls) <= 2 * math.ceil(math.log2(m_max)) + 3
     assert (m_max in calls) != oversize  # no C^m_max once an earlier window is oversize
+
+
+def test_window_scan_forms_the_last_window_twice(monkeypatch):
+    # once in the guard, whose probe at m_max sizes the stream, and once for
+    # the report's range in c_vertical_check
+    calls = []
+
+    def counted(C, m):
+        calls.append(m)
+        return window_top(C, m)
+
+    monkeypatch.setattr(concavity, "window_top", counted)
+    assert window_scan(arith.one(), "id", Fraction(1000001, 1000000), 50000).passed
+    assert calls.count(50000) <= 2
 
 
 # first failing centers n_1..n_8 of the (sigma, id) columns (D'Arcais)
