@@ -24,6 +24,19 @@ squares are compared.  Each entry a scan reads is checked once: a
 negative one raises a ValueError naming its (n, m), since log-concavity
 is not defined for them.
 
+The kernel screens before it multiplies.  When the center and both
+neighbors are ints and the center has more than 64 bits, all three are
+cut at the same bit, which leaves the center a 64-bit head; each entry
+then lies between its head and its head plus one, times the same power
+of two, so the heads bound both sides of the comparison.  The screen
+passes a center only when the bounds make the inequality strict, and
+fails it only when they make the reverse strict, so every equality, and
+every center too close to call, reaches the exact products unchanged.
+Nearly every center of a large triangle is settled there, on products of
+about 128 bits when the neighbors are about as long as the center.
+Fractions, and triples mixing ints and Fractions, are always compared
+exactly.
+
 The Stirling column scans behind Table 1 are column scans of the (one, id)
 triangle, whose stored column m is S(n, m) = n! A(n, m); iter_columns
 fills it by the Stirling rule, so it needs no table of its own.  Sibuya's
@@ -102,8 +115,25 @@ def _scan(left, center, right, at, weighted: bool = False):
     i = 1, 2, ... where center^2 < left * right (failed) or the two sides
     are equal between nonzero neighbors (not failed).  With weighted set,
     the center at position i carries the scale i! and its neighbors
-    (i-1)! and (i+1)!, so (i+1) center^2 is compared with i left * right."""
+    (i-1)! and (i+1)!, so (i+1) center^2 is compared with i left * right.
+
+    An all-int triple whose center has more than 64 bits is first screened
+    on heads: with k = bits(c) - 64 and x' = x >> k, x' 2^k <= x <
+    (x'+1) 2^k for each entry, so with weights (wl, wr) wl c'^2 >=
+    wr (a'+1)(b'+1) makes wl c^2 > wr a b, a strict pass, and
+    wl (c'+1)^2 <= wr a' b' makes wl c^2 < wr a b, a failure.  Neither
+    decides an equality, so only the centers between the two bounds pay
+    for the exact products.  Fractions, and mixed triples, are compared
+    exactly."""
     for i, (a, c, b) in enumerate(zip(left, center, right), 1):
+        if type(c) is int and (k := c.bit_length() - 64) > 0 and type(a) is type(b) is int:
+            wl, wr = (i + 1, i) if weighted else (1, 1)
+            hc, ha, hb = c >> k, a >> k, b >> k
+            if wl * hc * hc >= wr * (ha + 1) * (hb + 1):
+                continue
+            if wl * (hc + 1) ** 2 <= wr * ha * hb:
+                yield at(i), True
+                continue
         lhs = c * c
         rhs = a * b
         if weighted:

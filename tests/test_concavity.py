@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lclab import arith, concavity
 from lclab.concavity import (
@@ -651,3 +651,124 @@ def test_scans_reject_negative_entries():
     with pytest.raises(ValueError, match="entry 1 is negative"):
         is_logconcave([1, -2, 1])
 
+
+def exact_scan(left, center, right, at, weighted=False):
+    """_scan without its head screen: every center is compared on the exact
+    products.  The reference the screened kernel is held to."""
+    for i, (a, c, b) in enumerate(zip(left, center, right), 1):
+        lhs = c * c
+        rhs = a * b
+        if weighted:
+            lhs *= i + 1
+            rhs *= i
+        if lhs < rhs:
+            yield at(i), True
+        elif lhs == rhs and a and b:
+            yield at(i), False
+
+
+def screened_and_exact(scan, *args):
+    """scan(*args) as it runs, then again with exact_scan as the kernel."""
+    screened = scan(*args)
+    kept, concavity._scan = concavity._scan, exact_scan
+    try:
+        return screened, scan(*args)
+    finally:
+        concavity._scan = kept
+
+
+def _sized(bits):
+    """Nonnegative ints of the drawn bit lengths, 0 for length 0."""
+    return bits.flatmap(lambda n: st.integers(2**n >> 1, 2**n - 1))
+
+
+# lengths around the 64-bit head and to about 10^3 bits, zero included
+wide = _sized(st.one_of(st.sampled_from([0, 1, 63, 64, 65, 128, 1000]), st.integers(0, 1100)))
+
+
+@st.composite
+def screen_triples(draw):
+    """(a, c, b, i, weighted): independent entries; c = isqrt(wr a b / wl) + d;
+    or an exact equality wl c^2 = wr a b, moved by d.  Small d gives the
+    near-equal centers, where only the exact comparison can decide."""
+    i = draw(st.one_of(st.integers(1, 3), st.integers(1, 1000)))
+    weighted = draw(st.booleans())
+    wl, wr = (i + 1, i) if weighted else (1, 1)
+    kind = draw(st.sampled_from(["free", "isqrt", "equal"]))
+    d = draw(st.integers(-3, 3))
+    if kind == "free":
+        a, c, b = draw(wide), draw(wide), draw(wide)
+    elif kind == "isqrt":
+        a, b = draw(wide), draw(wide)
+        c = max(math.isqrt(wr * a * b // wl) + d, 0)
+    else:
+        x, y, z = (draw(_sized(st.integers(0, 400))) for _ in range(3))
+        a, b, c = x * wl * y * y, x * wr * z * z, max(x * wr * y * z + d, 0)
+    return a, c, b, i, weighted
+
+
+def _hits_at(kernel, a, c, b, i, weighted):
+    """kernel's hits with the triple at position i; the zeros before it give none."""
+    pad = [0] * (i - 1)
+    return list(kernel(pad + [a], pad + [c], pad + [b], lambda n: n, weighted))
+
+
+_HEAD = 2**64
+
+
+@settings(max_examples=400)
+@given(screen_triples(), st.sampled_from(["int", "fraction", "mixed"]))
+# equal and one below equal, past 64 bits: a screen that passes ties, or
+# drops a +1, decides them
+@example((_HEAD**3, _HEAD**3, _HEAD**3, 1, False), "int")
+@example((_HEAD**3 + 1, _HEAD**3, _HEAD**3 + 1, 1, False), "int")
+@example((_HEAD**3 + 1, _HEAD**3, _HEAD**3, 1, False), "int")
+@example((_HEAD**3, _HEAD**3, _HEAD**3 + 1, 1, False), "int")
+@example((3, 2**600, 2**1200 // 3 + 1, 1, False), "int")  # a' = 0: only b'+1 bounds b
+@example((2**1200 // 3 + 1, 2**600, 3, 1, False), "int")  # b' = 0: only a'+1 bounds a
+# the weighted tie 2 c^2 = a b at i = 1: the screen's weights, swapped,
+# call it a failure
+@example((2 * _HEAD**3, _HEAD**3, _HEAD**3, 1, True), "int")
+@example((0, _HEAD**3, _HEAD**3, 5, True), "int")  # a zero neighbor: a pass, not a tie
+@example((_HEAD**3, _HEAD**3, _HEAD**3, 1, False), "fraction")
+@example((_HEAD**3, _HEAD**3, _HEAD**3, 1, False), "mixed")
+def test_screened_kernel_matches_the_exact_comparison(triple, entries):
+    a, c, b, i, weighted = triple
+    if entries == "fraction":  # one denominator: the verdict is the integers'
+        a, c, b = (Fraction(x, 3) for x in (a, c, b))
+    elif entries == "mixed":  # an int center, a Fraction neighbor
+        a = Fraction(a)
+    screened = _hits_at(concavity._scan, a, c, b, i, weighted)
+    assert screened == _hits_at(exact_scan, a, c, b, i, weighted)
+
+
+def test_fraction_and_mixed_lines_are_compared_exactly():
+    # a geometric line over 7, numerators of about 200 bits: every center
+    # is an equality; raising the last entry by 1/7 fails the center before it
+    p, q = 3**70 + 2, 5**41 + 6
+    fracs = [Fraction(p**k * q ** (4 - k), 7) for k in range(5)]
+    raised = fracs[:4] + [fracs[4] + Fraction(1, 7)]
+    ints = [p**k * q ** (4 - k) for k in range(5)]
+    mixed = [ints[0], Fraction(ints[1]), ints[2], Fraction(ints[3]), ints[4] + 1]
+    for line in (fracs, raised, mixed):
+        vals = [0, *line, 0]
+        for weighted in (False, True):
+            hits = list(concavity._scan(vals, vals[1:], vals[2:], lambda i: i - 1, weighted))
+            assert hits == list(exact_scan(vals, vals[1:], vals[2:], lambda i: i - 1, weighted))
+    assert is_logconcave(fracs) is None
+    assert is_logconcave(raised) == 3
+    assert is_logconcave(mixed) == 3
+
+
+@pytest.mark.parametrize("h", ["id", "one"])
+def test_triangle_scans_match_the_unscreened_kernel(h):
+    tri = build_triangle(arith.sigma(), h, 150)  # entries to 906 bits (id), 228 (one)
+    for scan in (horizontal_check, vertical_check):
+        screened, exact = screened_and_exact(scan, tri)
+        assert screened == exact
+
+
+@pytest.mark.parametrize("scan, args", [(first_failure_table, (7,)), (hong_zhang_scan, (2, 9))])
+def test_streamed_scans_match_the_unscreened_kernel(scan, args):
+    screened, exact = screened_and_exact(scan, *args)
+    assert screened == exact
