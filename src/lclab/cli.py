@@ -240,10 +240,9 @@ def _render_report(report: ConcavityReport) -> str:
 def _m_selection(args, default_to) -> tuple[int, int]:
     if args.m is not None and (args.m_from is not None or args.m_to is not None):
         raise ValueError("--m and --m-from/--m-to are mutually exclusive")
-    if args.m is not None:
-        return args.m, args.m
-    lo = args.m_from if args.m_from is not None else 1
-    hi = args.m_to if args.m_to is not None else default_to
+    lo, hi = (args.m, args.m) if args.m is not None else (args.m_from, args.m_to)
+    lo = 1 if lo is None else lo
+    hi = default_to if hi is None else hi
     if lo < 1 or hi < lo:
         raise ValueError(f"bad column range {lo}..{hi}")
     return lo, hi
@@ -252,13 +251,13 @@ def _m_selection(args, default_to) -> tuple[int, int]:
 def _run_horizontal(args) -> ConcavityReport:
     if args.m is not None or args.m_from is not None or args.m_to is not None:
         raise ValueError("column selection applies to vertical checks only")
-    return horizontal_check(_ColumnStream(parse_g(args.g), args.h, args.n_max, args.n_max + 1))
+    return horizontal_check(_ColumnStream(parse_g(args.g), args.h, args.n_max))
 
 
 def _run_vertical(args) -> ConcavityReport:
     g = parse_g(args.g)
     m_from, m_to = _m_selection(args, default_to=args.n_max)
-    return vertical_check(_ColumnStream(g, args.h, args.n_max, m_to), m_from, m_to)
+    return vertical_check(_ColumnStream(g, args.h, args.n_max), m_from, m_to)
 
 
 def _run_genfun(args) -> CheckResult:

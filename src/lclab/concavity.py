@@ -59,7 +59,7 @@ from math import factorial
 from .arith import ArithFn, _fraction, _ratio, one, sigma, tilde
 from .series import eichler_integral
 from .stirling import stirling_row
-from .triangles import CheckResult, Triangle, _check_family, _crosscheck, iter_columns
+from .triangles import CheckResult, Triangle, _crosscheck, iter_columns
 
 
 @dataclass
@@ -148,13 +148,12 @@ def _scan(left, center, right, at, weighted: bool = False):
 class _ColumnStream:
     """Columns of (g, h) to row n_max, read in increasing m without building
     the triangle: g, h, n_max, scale(n) and column(m), a new list, as on a
-    Triangle, but holding only the latest.  m_last, the caller's last column,
-    bounds no read; it is only checked to be >= 1, which rejects m_max = 0."""
+    Triangle, but holding only the latest.  Only window_scan and the Stirling
+    scans pass m_last, their last column; it must be >= 1 (m_max = 0 fails)."""
 
     scale = Triangle.scale
 
-    def __init__(self, g: ArithFn, h: str, n_max: int, m_last: int):
-        _check_family(h, n_max)
+    def __init__(self, g: ArithFn, h: str, n_max: int, m_last: int = 1):
         if m_last < 1:
             raise ValueError("m_max must be >= 1 when given")
         self.g, self.h, self.n_max = g, h, n_max
@@ -342,7 +341,7 @@ def window_scan(g: ArithFn, h: str, C, m_max: int, *, include_m1: bool = False) 
 def _stirling_stream(n_limit: int, m_last: int) -> _ColumnStream:
     """The (one, id) columns to row n_limit + 1, for scans to center n_limit."""
     if n_limit < 0:
-        raise ValueError("n_max must be >= 0")
+        raise ValueError("n_limit must be >= 0")
     return _ColumnStream(one(), "id", n_limit + 1, m_last)
 
 
@@ -407,8 +406,8 @@ def hz_equivalence_check(m_max: int, n_max: int) -> CheckResult:
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-    geo = _ColumnStream(tilde(sigma()), "one", n_max, max(m_max, 1))
-    exp = _ColumnStream(sigma(), "id", n_max, max(m_max, 1))
+    geo = _ColumnStream(tilde(sigma()), "one", n_max)
+    exp = _ColumnStream(sigma(), "id", n_max)
 
     def cells():
         for m in range(1, m_max + 1):
@@ -433,7 +432,7 @@ def hong_zhang_scan(C, m_max: int, *, include_m1: bool = False) -> ConcavityRepo
     each comparison, so the scan runs on the integer column stream, as
     window_scan does, except that m_max = 0 scans no column and passes.
     """
-    stream = _ColumnStream(sigma(), "id", _window_rows(C, m_max), max(m_max, 1))
+    stream = _ColumnStream(sigma(), "id", _window_rows(C, m_max))
     report = c_vertical_check(stream, C, m_max, include_m1=include_m1)
     report.mode = "hong-zhang"
     report.params["coefficients"] = "divisor-sum series powers"

@@ -453,7 +453,7 @@ def test_check_cscan_empty_windows_to_column_40000(capsys):
 
 
 def test_check_hz_window_just_above_one_to_column_50000(capsys):
-    # C just above 1: the guard's probes and the stream sized by max(m_max, 1)
+    # C just above 1: the guard's probes and a stream of the one-row windows
     code, out, err = run(capsys, "check", "hz", "--C", "1000001/1000000", "--m-max", "50000")
     assert (code, err) == (0, "")
     assert out == (
@@ -779,13 +779,15 @@ COLUMN_SELECTION_CASES = {
     "vertical --g sigma --h id --m 2 --n-max 0": (
         0, "PASS vertical: g=sigma h=id m=2..2 centers n<=-1\n", "",
     ),
-    "vertical --g one --h id --m 0 --n-max 5": (
-        2, "", "lclab: error: m_max must be >= 1 when given\n",
+    "vertical --g one --h id --m 0 --n-max 5": (2, "", "lclab: error: bad column range 0..0\n"),
+    "vertical --g one --h id --m -2 --n-max 5": (2, "", "lclab: error: bad column range -2..-2\n"),
+    "vertical --g one --h id --m-from 0 --m-to 0 --n-max 5": (
+        2, "", "lclab: error: bad column range 0..0\n",
     ),
     "table1 --m-max 0": (2, "", "lclab: error: m_max must be >= 1 when given\n"),
     "table1 --m-max -1": (2, "", "lclab: error: m_max must be >= 1 when given\n"),
-    "table1 --m-max 3 --n-limit -5": (2, "", "lclab: error: n_max must be >= 0\n"),
-    "table1 --m-max 3 --n-limit -1": (2, "", "lclab: error: n_max must be >= 0\n"),
+    "table1 --m-max 3 --n-limit -5": (2, "", "lclab: error: n_limit must be >= 0\n"),
+    "table1 --m-max 3 --n-limit -1": (2, "", "lclab: error: n_limit must be >= 0\n"),
     "cscan --g one --h id --C 0 --m-max 0": (
         2, "", "lclab: error: the window base C must be positive\n",
     ),

@@ -182,7 +182,7 @@ def test_stirling_column_failure_scans():
 def test_stirling_scans_reject_negative_n_limit():
     # n_limit = -1 is an error, not an empty range with no failure in it
     for scan in (stirling_column_first_failure, stirling_column_failures, first_failure_table):
-        with pytest.raises(ValueError, match="n_max must be >= 0"):
+        with pytest.raises(ValueError, match="n_limit must be >= 0"):
             scan(2, -1)
     assert first_failure_table(2, 0) == [None, None]
 
@@ -198,14 +198,26 @@ def test_stirling_scan_matches_triangle_scan():
 def test_column_stream_reads_like_the_triangle():
     g = arith.sigma()
     tri = build_triangle(g, "id", 12)
-    stream = _ColumnStream(g, "id", 12, 20)
-    assert (stream.g, stream.h, stream.n_max) == (g, "id", 12)
-    for m in (0, 2, 2, 5, 12, 13, 20):  # gaps, a repeat, past the last row
-        assert stream.column(m) == tri.column(m)
-    with pytest.raises(ValueError, match="already passed"):
-        stream.column(11)
+    for stream in (_ColumnStream(g, "id", 12, 20), _ColumnStream(g, "id", 12)):
+        assert (stream.g, stream.h, stream.n_max) == (g, "id", 12)
+        for m in (0, 2, 2, 5, 12, 13, 20):  # gaps, a repeat, past the last row
+            assert stream.column(m) == tri.column(m)
+        with pytest.raises(ValueError, match="already passed"):
+            stream.column(11)
     with pytest.raises(ValueError, match="m_max must be >= 1 when given"):
         _ColumnStream(g, "id", 12, 0)
+
+
+def test_scans_with_a_last_column_reject_m_max_0():
+    # the streams of window_scan and the Stirling scans carry their last column
+    for scan in (
+        lambda: window_scan(arith.one(), "id", 2, 0),
+        lambda: first_failure_table(0),
+        lambda: stirling_column_first_failure(0, 5),
+        lambda: stirling_column_failures(0, 5),
+    ):
+        with pytest.raises(ValueError, match="m_max must be >= 1 when given"):
+            scan()
 
 
 def test_stream_columns_belong_to_the_caller():
@@ -525,7 +537,7 @@ def test_streamed_horizontal_matches_row_major_oracle(values, h, n_from, n_to):
         for n in range(max(n_from, 1), n_to + 1) for m in range(1, n + 1)
     ]
     expected = _oracle_hits(tri, row_cells)
-    for source in (tri, _ColumnStream(g, h, tri.n_max, tri.n_max + 1)):
+    for source in (tri, _ColumnStream(g, h, tri.n_max)):
         report = horizontal_check(source, n_from, n_to)
         assert (report.failures, report.equalities) == expected
         assert (report.n_range, report.m_range) == ((n_from, n_to), (1, n_to))
@@ -613,7 +625,7 @@ def test_column_scans_match_a_walk_over_every_requested_column(
     tri = build_triangle(g, h, n_max)
 
     def sources():
-        return tri, _ColumnStream(g, h, n_max, max(m_to, 1))
+        return tri, _ColumnStream(g, h, n_max)
 
     for n_top in (None, n_to):
         expected = _vertical_reference(tri, m_from, m_to, n_top)
