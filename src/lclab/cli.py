@@ -260,6 +260,31 @@ def _run_vertical(args) -> ConcavityReport:
     return vertical_check(_ColumnStream(g, args.h, args.n_max), m_from, m_to)
 
 
+def _m_max(args) -> int:
+    """--m-max of cscan, hz and table1, whose columns start at 1: checked
+    first in their runners, so a bound below 1 neither passes vacuously nor
+    fails naming a library argument."""
+    if args.m_max < 1:
+        raise ValueError(f"--m-max must be >= 1, got {args.m_max}")
+    return args.m_max
+
+
+def _run_cscan(args) -> ConcavityReport:
+    m_max = _m_max(args)
+    return window_scan(
+        parse_g(args.g), args.h, parse_rational(args.C), m_max, include_m1=args.include_m1
+    )
+
+
+def _run_hz(args) -> ConcavityReport:
+    m_max = _m_max(args)
+    return hong_zhang_scan(parse_rational(args.C), m_max)
+
+
+def _run_table1(args) -> list:
+    return first_failure_table(_m_max(args), args.n_limit)
+
+
 def _run_genfun(args) -> CheckResult:
     xs = list(DEFAULT_EVAL_POINTS) if args.xs is None else parse_xs(args.xs)
     return genfun_crosscheck(parse_g(args.g), args.h, args.n_max, xs)
@@ -300,9 +325,7 @@ CHECKS = {
     "cscan": (
         "column log-concavity restricted to windows n <= C^m",
         ("g", "h", "C", "m-max", "include-m1"),
-        lambda a: window_scan(
-            parse_g(a.g), a.h, parse_rational(a.C), a.m_max, include_m1=a.include_m1
-        ),
+        _run_cscan,
     ),
     "conversion": (
         "exponential vs geometric family bridge",
@@ -327,12 +350,12 @@ CHECKS = {
     "hz": (
         "windowed scan of divisor-sum series power coefficients",
         ("C", "m-max"),
-        lambda a: hong_zhang_scan(parse_rational(a.C), a.m_max),
+        _run_hz,
     ),
     "table1": (
         "first failing center per column of the (one, id) family",
         ("m-max", "n-limit"),
-        lambda a: first_failure_table(a.m_max, a.n_limit),
+        _run_table1,
     ),
     "closed-forms": (
         "six classic families vs their closed forms",

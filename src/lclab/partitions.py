@@ -6,7 +6,10 @@ the 1s a count, and each step lowers the last part above 1, k + 1, to k
 and refills k + 1 plus the 1s with as many k as fit and then the
 remainder.  Memory stays O(n) no matter how many partitions there are.
 Hooks come from the conjugate shape: the cell (i, j) of the diagram has
-hook length lambda_i + lambda'_j - i - j - 1 (zero-based i, j).
+hook length lambda_i + lambda'_j - i - j - 1 (zero-based i, j).  That
+length is symmetric under swapping lambda with lambda' and i with j, so
+cell (i, j) of lambda and cell (j, i) of lambda' have the same hook, and a
+shape and its conjugate have the same hook multiset.
 
 The hook-length polynomial of weight n,
 
@@ -23,8 +26,10 @@ therefore summed in integers over the one denominator (n!)^2, with one
 division per coefficient at the end.  The integer sum has nonnegative
 coefficients, each at most p(n) 2^n (n!)^2, so it is found by Kronecker
 evaluation: summed once at x = 2^K with K-bit slots wide enough for that
-bound, one integer product per partition, and the coefficients read back
-from the slots.
+bound, one integer product per conjugate pair of shapes, and the
+coefficients read back from the slots.  Conjugate shapes have equal terms,
+so each pair is summed once, at its lexicographically larger shape, and
+doubled; a self-conjugate shape is its own pair and counts once.
 """
 
 from __future__ import annotations
@@ -89,12 +94,12 @@ def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
 def hook_lengths(parts: tuple[int, ...]) -> list[int]:
     """Hook lengths of all cells, row-major.  A multiset: order is not part
     of the contract, only the counts are."""
-    conj = conjugate(parts)
-    hooks = []
-    for i, p in enumerate(parts):
-        for j in range(p):
-            hooks.append(p + conj[j] - i - j - 1)
-    return hooks
+    return _hooks(parts, conjugate(parts))
+
+
+def _hooks(parts: tuple[int, ...], conj: tuple[int, ...]) -> list[int]:
+    """Hook lengths of the shape parts, row-major, given its conjugate conj."""
+    return [p + conj[j] - i - j - 1 for i, p in enumerate(parts) for j in range(p)]
 
 
 def nekrasov_okounkov_poly(n: int) -> Poly:
@@ -105,8 +110,9 @@ def nekrasov_okounkov_poly(n: int) -> Poly:
     X = 1.  A term at X = 1 is (n!)^2 prod (1 + 1/h^2) <= (n!)^2 2^n, so
     S <= p(n) 2^n (n!)^2 < 2^K for K the bit length of p(n) (n!)^2 plus
     n + 1.  The sum is evaluated at X = 2^K, one integer product per
-    partition, and coefficient i is read back from bits iK .. iK+K-1; then
-    each is divided by (n!)^2.
+    conjugate pair (doubled unless the shape is self-conjugate), and
+    coefficient i is read back from bits iK .. iK+K-1; then each is divided
+    by (n!)^2.
     """
     if n < 0:
         raise ValueError("weight must be >= 0")
@@ -115,8 +121,12 @@ def nekrasov_okounkov_poly(n: int) -> Poly:
     x = 1 << width
     packed = 0
     for parts in iter_partitions(n):
-        squares = [hk * hk for hk in hook_lengths(parts)]
-        packed += common // math.prod(squares) * math.prod(x + h2 for h2 in squares)
+        conj = conjugate(parts)
+        if conj > parts:  # the pair is summed at the other shape
+            continue
+        squares = [hk * hk for hk in _hooks(parts, conj)]
+        term = common // math.prod(squares) * math.prod(x + h2 for h2 in squares)
+        packed += term if conj == parts else 2 * term
     mask = (1 << width) - 1
     coeffs = []
     for _ in range(n + 1):

@@ -277,7 +277,8 @@ def _columns(dg: list, d: int, weighted: bool, n_max: int):
         if content > 1:
             col = [b // content for b in col]
         factor *= Fraction(content, d)
-        yield [_ratio(b * factor.numerator, factor.denominator) for b in col]
+        fn, fd = factor.numerator, factor.denominator
+        yield [0] * m + [_ratio(b * fn, fd) for b in col[m:]]  # B(n, m) = 0 for n < m
 
 
 def _next_column(prev: list, gvals: list, weighted: bool, ones: bool, m: int) -> list:
@@ -481,18 +482,21 @@ def euler_product_crosscheck(g: ArithFn, n_max: int, x) -> CheckResult:
     )
 
 
-# (g label, h) -> (g constructor, closed form of A(n, m)), in check order
+# (g label, h) -> (g constructor, closed form of A(n, m)), in check order.
+# A form is an int pair (p, q), A(n, m) = p / q, not always in lowest terms:
+# closed_forms_check cross-multiplies the pair, and closed_form_oracle
+# alone makes it a Fraction.
 _CLOSED_FORMS = {
-    ("one", "one"): (one, lambda n, m: Fraction(math.comb(n - 1, m - 1))),
-    ("id", "id"): (identity, lambda n, m: Fraction(math.comb(n - 1, m - 1), math.factorial(m))),
+    ("one", "one"): (one, lambda n, m: (math.comb(n - 1, m - 1), 1)),
+    ("id", "id"): (identity, lambda n, m: (math.comb(n - 1, m - 1), math.factorial(m))),
     ("square", "id"): (
-        square, lambda n, m: Fraction(math.comb(n + m - 1, 2 * m - 1), math.factorial(m))
+        square, lambda n, m: (math.comb(n + m - 1, 2 * m - 1), math.factorial(m))
     ),
-    ("id", "one"): (identity, lambda n, m: Fraction(math.comb(n + m - 1, 2 * m - 1))),
-    ("one", "id"): (one, lambda n, m: Fraction(stirling_first(n, m), math.factorial(n))),
+    ("id", "one"): (identity, lambda n, m: (math.comb(n + m - 1, 2 * m - 1), 1)),
+    ("one", "id"): (one, lambda n, m: (stirling_first(n, m), math.factorial(n))),
     ("tilde(one)", "one"): (
         lambda: tilde(one()),
-        lambda n, m: Fraction(math.factorial(m) * stirling_first(n, m), math.factorial(n)),
+        lambda n, m: (math.factorial(m) * stirling_first(n, m), math.factorial(n)),
     ),
 }
 
@@ -510,13 +514,13 @@ def closed_form_oracle(g_label: str, h: str, n: int, m: int) -> Fraction:
     key = (g_label, h)
     if key not in _CLOSED_FORMS:
         raise ValueError(f"no closed form on record for {key}")
-    return _CLOSED_FORMS[key][1](n, m)
+    return Fraction(*_CLOSED_FORMS[key][1](n, m))
 
 
 def closed_forms_check(n_max: int) -> CheckResult:
     """Build all six classic families and compare every entry with its
-    closed form: B(n, m) = L_n p / q for the closed form p / q, checked as
-    B(n, m) q = p L_n."""
+    closed form: B(n, m) = L_n p / q for the closed form's pair (p, q),
+    checked as B(n, m) q = p L_n."""
 
     def cells():  # each value carries its family, which names a failure
         for (g_label, h), (make_g, form) in _CLOSED_FORMS.items():
@@ -525,7 +529,7 @@ def closed_forms_check(n_max: int) -> CheckResult:
             for n in range(1, n_max + 1):
                 ln = tri.scale(n)
                 for m, b in enumerate(tri.row_scaled(n), 1):
-                    oracle = form(n, m)
-                    yield (n, m), (family, b * oracle.denominator), (family, oracle.numerator * ln)
+                    p, q = form(n, m)
+                    yield (n, m), (family, b * q), (family, p * ln)
 
     return _crosscheck("closed-forms", cells(), lambda a, b: a[0], f"6 families, n <= {n_max}")

@@ -603,7 +603,7 @@ def test_triangle_negative_n_rejected_with_cache(tmp_path, capsys):
 def test_check_window_rejects_negative_m_max(argv, capsys):
     code, out, err = run(capsys, "check", *argv, "--m-max", "-1")
     assert (code, out) == (2, "")
-    assert err == "lclab: error: the window exponent m must be >= 0, got -1\n"
+    assert err == "lclab: error: --m-max must be >= 1, got -1\n"
 
 
 def test_triangle_entries_past_int_str_limit(tmp_path, capsys):
@@ -761,7 +761,8 @@ def test_triangle_schema1_entry_is_rebuilt_once(tmp_path, capsys):
 _V25_FAILURES = [(n, 1) for n in range(3, 20, 2)] + [(6, 2)] + [(n, 2) for n in range(9, 20, 2)]
 
 # check argv -> (exit code, stdout, stderr); columns past n_max read as zero,
-# and the column bound is checked after the checks that name other inputs
+# vertical's column range is checked after --g is read, and the --m-max of
+# cscan, hz and table1 before every other input
 COLUMN_SELECTION_CASES = {
     "vertical --g sigma --h id --m 30 --n-max 20": (
         0, "PASS vertical: g=sigma h=id m=30..30 centers n<=19\n", "",
@@ -784,12 +785,12 @@ COLUMN_SELECTION_CASES = {
     "vertical --g one --h id --m-from 0 --m-to 0 --n-max 5": (
         2, "", "lclab: error: bad column range 0..0\n",
     ),
-    "table1 --m-max 0": (2, "", "lclab: error: m_max must be >= 1 when given\n"),
-    "table1 --m-max -1": (2, "", "lclab: error: m_max must be >= 1 when given\n"),
+    "table1 --m-max 0": (2, "", "lclab: error: --m-max must be >= 1, got 0\n"),
+    "table1 --m-max -1": (2, "", "lclab: error: --m-max must be >= 1, got -1\n"),
     "table1 --m-max 3 --n-limit -5": (2, "", "lclab: error: n_limit must be >= 0\n"),
     "table1 --m-max 3 --n-limit -1": (2, "", "lclab: error: n_limit must be >= 0\n"),
     "cscan --g one --h id --C 0 --m-max 0": (
-        2, "", "lclab: error: the window base C must be positive\n",
+        2, "", "lclab: error: --m-max must be >= 1, got 0\n",
     ),
     "vertical --g custom=TWO --h id --n-max 5": (
         2, "", "lclab: error: 'custom:two.txt' is only defined for n <= 2, asked for 5\n",

@@ -52,7 +52,7 @@ GOLDEN = {
     'check cscan --g one --h one --C 2 --m-max 4 --format json': (0, '1a6ebbb209c770fe6def851e7d8bfa82fcc330ad32cac39dd35550e7f466d79f', ''),
     'check cscan --g one --h id --C 1/2 --m-max 3': (0, '8d3c3b839af3805eee878a4b416fdffa82e10e7ae2063815648870a5e7ffca5f', ''),
     'check cscan --g one --h id --C 2 --m-max 13': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'lclab: error: window floor(C^m_max) = 8192 exceeds 4096; scan fewer columns or a smaller C\n'),
-    'check cscan --g one --h id --C 2 --m-max 0': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'lclab: error: m_max must be >= 1 when given\n'),
+    'check cscan --g one --h id --C 2 --m-max 0': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'lclab: error: --m-max must be >= 1, got 0\n'),
     'check cscan --g one --h id --C 0 --m-max 3': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'lclab: error: the window base C must be positive\n'),
     'check conversion --g square --n-max 8': (0, '6caf4355c8d6a5d94acf63f67d02ae997bb4d3e812057987f9c8067af04c5c76', ''),
     'check conversion --g sigma --n-max 8 --format json': (0, 'd5238fbd9fc00b33a7ea4a0d5061173354d9b87d16216be0814d209688978617', ''),
@@ -67,8 +67,8 @@ GOLDEN = {
     'check hz --C 2 --m-max 5 --format json': (0, '3818251bb42d0567f31267abb9b732c81f4ea5350037c39cc0033117bc4de5ac', ''),
     'check hz --C 3/2 --m-max 7': (0, '6961fb5d6509f6beb39df6d1d741899a208944ffff5d5f468c76d90a69226bb9', ''),
     'check hz --C 2 --m-max 13': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'lclab: error: window floor(C^m_max) = 8192 exceeds 4096; scan fewer columns or a smaller C\n'),
-    'check hz --C 2 --m-max 0': (0, '21c3b23920df565ea13d4f9ae42da06b6b0b6d6dc477f2fba900a222b30470cc', ''),
-    'check hz --C 2 --m-max 0 --format json': (0, 'bcd3d09e8d2b8bc6392f0afba43a7a2f590bd519122ecfdf68f618d8a6015059', ''),
+    'check hz --C 2 --m-max 0': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'lclab: error: --m-max must be >= 1, got 0\n'),
+    'check hz --C 2 --m-max 0 --format json': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'lclab: error: --m-max must be >= 1, got 0\n'),
     'check table1 --m-max 4 --n-limit 60': (0, '75979006b3c46ff1a6f72320dc0707f6505880d4ec3f35be4569ebbb60b1dd9e', ''),
     'check table1 --m-max 4 --n-limit 60 --format json': (0, 'ff295876e482a2523f736dcfce0ff79f3d7d91e4e6b994a87dee7a2ab2ee7748', ''),
     'check table1 --m-max 2 --n-limit 3': (1, '13c76b4da450a15e6614e783a55d34d5b18c96ed6ba7b03b1fe128450116f068', ''),

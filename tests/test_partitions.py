@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from lclab import arith
+from lclab import arith, partitions
 from lclab.partitions import (
     check_no_identity,
     conjugate,
@@ -162,6 +162,28 @@ def hook_sum_reference(n):
 @pytest.mark.parametrize("n", range(18))
 def test_hook_polynomial_matches_fraction_sum(n):
     assert nekrasov_okounkov_poly(n) == hook_sum_reference(n)
+
+
+def test_hook_polynomial_forms_hooks_once_per_conjugate_pair(monkeypatch):
+    # (p(n) + sc(n)) / 2 shapes: a pair of conjugate shapes shares one hook
+    # product, and a self-conjugate shape is a pair of its own
+    calls = []
+    hooks = partitions._hooks
+
+    def counted(parts, conj):
+        calls.append(parts)
+        return hooks(parts, conj)
+
+    monkeypatch.setattr(partitions, "_hooks", counted)
+    for n in range(15):
+        shapes = list(_partitions_by_recursion(n, n))
+        self_conjugate = sum(  # column j of a shape holds its parts above j
+            parts == tuple(sum(p > j for p in parts) for j in range(max(parts, default=0)))
+            for parts in shapes
+        )
+        calls.clear()
+        nekrasov_okounkov_poly(n)
+        assert len(calls) == len(set(calls)) == (len(shapes) + self_conjugate) // 2, n
 
 
 def test_hook_polynomial_leading_coefficient():

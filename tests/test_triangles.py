@@ -175,6 +175,17 @@ def test_rational_g_columns_match_fraction_horner(values, h):
         assert [type(b) for b in col] == kinds
 
 
+@pytest.mark.parametrize("h", ["one", "id"])
+def test_rational_columns_start_with_int_zeros(h):
+    # 1/k has D > 1, so every column takes the rational path; the rows below
+    # m are yielded as the int 0 and row m, A(m, m) = 1 / h(1)...h(m), is not 0
+    n_max = 40
+    g = arith.from_table([Fraction(1, k) for k in range(1, n_max + 1)])
+    for m, col in enumerate(iter_columns(g, h, n_max), 1):
+        assert [(type(b), b) for b in col[:m]] == [(int, 0)] * m
+        assert col[m] != 0
+
+
 def horner_columns(values, h, n_max):
     """The columns m = 1..n_max of (g, h) by the plain Horner loop over rows
     j = m-1..n-1, one step per row and no block or all-ones shortcut, run on
@@ -445,6 +456,36 @@ def test_closed_form_oracle_values():
     assert closed_form_oracle("id", "one", 4, 2) == 10
     assert closed_form_oracle("tilde(one)", "one", 6, 2) == Fraction(137, 180)
     assert closed_form_oracle("id", "id", 5, 3) == Fraction(6, 6)
+
+
+def _stirling_rows(n_max):
+    """Unsigned Stirling numbers of the first kind, rows 0..n_max, by
+    expanding the rising factorial x (x + 1) ... (x + n - 1)."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1] + [0]
+        rows.append([(n - 1) * prev[m] + (prev[m - 1] if m else 0) for m in range(n + 1)])
+    return rows
+
+
+def test_closed_form_oracle_matches_fraction_expressions():
+    n_max = 40
+    s = _stirling_rows(n_max)
+    expressions = {
+        ("one", "one"): lambda n, m: Fraction(math.comb(n - 1, m - 1)),
+        ("id", "id"): lambda n, m: Fraction(math.comb(n - 1, m - 1)) / math.factorial(m),
+        ("square", "id"): lambda n, m: Fraction(math.comb(n + m - 1, 2 * m - 1)) / math.factorial(m),
+        ("id", "one"): lambda n, m: Fraction(math.comb(n + m - 1, 2 * m - 1)),
+        ("one", "id"): lambda n, m: Fraction(s[n][m]) / math.factorial(n),
+        ("tilde(one)", "one"): lambda n, m: Fraction(math.factorial(m) * s[n][m]) / math.factorial(n),
+    }
+    assert tuple(expressions) == tuple(triangles._CLOSED_FORMS)
+    for (g_label, h), expr in expressions.items():
+        for n in range(1, n_max + 1):
+            for m in range(1, n + 1):
+                oracle = closed_form_oracle(g_label, h, n, m)
+                assert type(oracle) is Fraction
+                assert oracle == expr(n, m), (g_label, h, n, m)
 
 
 def test_closed_form_table_rows_build_their_family():
