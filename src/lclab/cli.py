@@ -260,24 +260,26 @@ def _run_vertical(args) -> ConcavityReport:
     return vertical_check(_ColumnStream(g, args.h, args.n_max), m_from, m_to)
 
 
-def _m_max(args) -> int:
-    """--m-max of cscan, hz and table1, whose columns start at 1: checked
-    first in their runners, so a bound below 1 neither passes vacuously nor
-    fails naming a library argument."""
+def _m_max(args, first: int = 1, unless: str = "") -> int:
+    """--m-max of cscan, hz and table1, checked first in their runners, so a
+    bound below 1, or below the first scanned column, neither passes
+    vacuously nor fails naming a library argument."""
     if args.m_max < 1:
         raise ValueError(f"--m-max must be >= 1, got {args.m_max}")
+    if args.m_max < first:
+        raise ValueError(f"--m-max must be >= {first}{unless}, got {args.m_max}")
     return args.m_max
 
 
 def _run_cscan(args) -> ConcavityReport:
-    m_max = _m_max(args)
+    m_max = _m_max(args, 1 if args.include_m1 else 2, " without --include-m1")
     return window_scan(
         parse_g(args.g), args.h, parse_rational(args.C), m_max, include_m1=args.include_m1
     )
 
 
 def _run_hz(args) -> ConcavityReport:
-    m_max = _m_max(args)
+    m_max = _m_max(args, 2)
     return hong_zhang_scan(parse_rational(args.C), m_max)
 
 

@@ -429,11 +429,9 @@ def hong_zhang_scan(C, m_max: int, *, include_m1: bool = False) -> ConcavityRepo
 
     Column m is tested at centers n <= floor(C^m).  b_(m, n) is m! times
     the (sigma, id) triangle column, and the m! cancels from both sides of
-    each comparison, so the scan runs on the integer column stream, as
-    window_scan does, except that m_max = 0 scans no column and passes.
+    each comparison, so this is window_scan on (sigma, id), relabelled.
     """
-    stream = _ColumnStream(sigma(), "id", _window_rows(C, m_max))
-    report = c_vertical_check(stream, C, m_max, include_m1=include_m1)
+    report = window_scan(sigma(), "id", C, m_max, include_m1=include_m1)
     report.mode = "hong-zhang"
     report.params["coefficients"] = "divisor-sum series powers"
     return report

@@ -94,7 +94,7 @@ from .stirling import stirling_first
 
 _H_KINDS = ("one", "id")
 _BLOCK = 32  # rows per block of the h = id column kernel (measured: 64 is as fast, 16 slower)
-_LANES = 4  # rows per packed sum of the column kernel; divides _BLOCK
+_LANES = 4  # rows per packed sum of the column kernel; divides _BLOCK; _pack assumes 4
 
 
 class Poly:
@@ -173,7 +173,7 @@ class Triangle:
     scaled()/row_scaled()/column() the raw stored entries.
     """
 
-    m_max = None  # for the build hook of perfbench/layers.py only (ROADMAP item 3)
+    m_max = None  # for the build hook of perfbench/layers.py only (ROADMAP item 5b)
 
     def __init__(self, g: ArithFn, h: str, rows: list[list]):
         _check_family(h, len(rows) - 1)
@@ -324,16 +324,14 @@ def _next_column(prev: list, gvals: list, weighted: bool, ones: bool, m: int) ->
 
 def _pack(run: list, gsum: int) -> tuple[list, int]:
     """The lane-packed form of a run of entries x(s), x(s+1), ... of a
-    column: the list over i = s-_LANES+1 .. s+len(run)-1 of the sums of
-    x(i+t) << t K over lanes t, with x zero outside the run, and the lane
-    width K = bits(gsum * max |x|) + 1 (_next_column)."""
+    column, in one pass over _LANES shifted views of it padded with zeros:
+    the sums over lanes t of x(i+t) << t K for i = s-_LANES+1 .. s+len(run)-1,
+    with the lane width K = bits(gsum * max |x|) + 1 (_next_column)."""
     width = (gsum * max(max(run), -min(run))).bit_length() + 1
-    pad = [0] * (_LANES - 1)
-    ext = pad + run + pad
-    packed = ext[: len(run) + _LANES - 1]
-    for t in range(1, _LANES):
-        packed = [p + (x << t * width) for p, x in zip(packed, ext[t:])]
-    return packed, width
+    ext = [0] * (_LANES - 1) + run + [0] * (_LANES - 1)
+    w2, w3 = 2 * width, 3 * width
+    views = zip(ext, ext[1:], ext[2:], ext[3:])
+    return [a + (b << width) + (c << w2) + (d << w3) for a, b, c, d in views], width
 
 
 def _unpack(v: int, width: int) -> list:

@@ -262,23 +262,41 @@ def test_check_horizontal_pass(capsys):
     assert out.startswith("PASS horizontal")
 
 
-def test_check_horizontal_holds_no_triangle(monkeypatch, capsys):
-    # the scan streams columns: its peak stays far below the triangle it scans
-    parser = cli.build_parser()  # built once, so its own allocations stay out
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tri = build_triangle(arith.sigma(), "id", 60)
-        triangle_size = tracemalloc.get_traced_memory()[0] - base
-        del tri
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        code = main(["check", "horizontal", "--g", "sigma", "--h", "id", "--n-max", "60"])
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert code == 0 and capsys.readouterr().out.startswith("PASS horizontal")
+_HORIZONTAL_PEAK = """
+import tracemalloc
+from lclab import arith, cli
+from lclab.triangles import build_triangle
+
+parser = cli.build_parser()  # built once, so its own allocations stay out
+cli.build_parser = lambda: parser
+tracemalloc.start()
+base = tracemalloc.get_traced_memory()[0]
+tri = build_triangle(arith.sigma(), "id", 60)
+triangle_size = tracemalloc.get_traced_memory()[0] - base
+del tri
+tracemalloc.reset_peak()
+base = tracemalloc.get_traced_memory()[0]
+code = cli.main(["check", "horizontal", "--g", "sigma", "--h", "id", "--n-max", "60"])
+peak = tracemalloc.get_traced_memory()[1] - base
+tracemalloc.stop()
+print(code, peak, triangle_size)
+"""
+
+
+def test_check_horizontal_holds_no_triangle():
+    # the scan streams columns: its peak stays far below the triangle it
+    # scans.  It is measured in a fresh interpreter, so the reading does not
+    # depend on what earlier tests left in this one's allocator.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HORIZONTAL_PEAK], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("PASS horizontal")
+    code, peak, triangle_size = map(int, lines[-1].split())
+    assert code == 0
     assert peak < triangle_size / 3
 
 

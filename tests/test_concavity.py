@@ -209,9 +209,11 @@ def test_column_stream_reads_like_the_triangle():
 
 
 def test_scans_with_a_last_column_reject_m_max_0():
-    # the streams of window_scan and the Stirling scans carry their last column
+    # the streams of window_scan (hong_zhang_scan's too) and the Stirling
+    # scans carry their last column
     for scan in (
         lambda: window_scan(arith.one(), "id", 2, 0),
+        lambda: hong_zhang_scan(2, 0),
         lambda: first_failure_table(0),
         lambda: stirling_column_first_failure(0, 5),
         lambda: stirling_column_failures(0, 5),

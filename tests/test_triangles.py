@@ -268,6 +268,19 @@ def test_lane_kernel_matches_plain_horner(case, h):
     assert list(iter_columns(arith.from_table(values), h, n_max)) == horner_columns(values, h, n_max)
 
 
+@given(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=40), st.integers(1, 10**6))
+def test_pack_forms_each_lane_sum_of_its_definition(run, gsum):
+    # a wrong packing can send the kernel's entries growing without bound,
+    # so the packed list is pinned to its definition on its own
+    packed, width = triangles._pack(run, gsum)
+    assert width == (gsum * max(map(abs, run))).bit_length() + 1
+
+    def x(j):  # zero outside the run
+        return run[j] if 0 <= j < len(run) else 0
+
+    assert packed == [sum(x(i + t) << t * width for t in range(L)) for i in range(1 - L, len(run))]
+
+
 def test_rational_g_columns_of_normalized_divisor_sum():
     g = arith.tilde(arith.sigma())
     cols = list(iter_columns(g, "one", 40))
