@@ -27,7 +27,9 @@ runs Horner over the blocks up to and including the one that holds r,
 
 and ends at B(r, m) W(r): each weight h(j+1)...h(r-1) of a row j < r has
 picked up the factors h(r)...h(e-1).  So B(r, m) = acc / W(r), one exact
-division per entry.  h(0) weighs no entry and is taken as 1, so that
+division per entry.  _next_column takes the blocks once, in order, and
+adds each into the acc of every row from its own on, so a row is done
+when its own block is.  h(0) weighs no entry and is taken as 1, so that
 W(0) is not 0 at m = 1.  For h = one the weights are 1: there is one
 block, from row m-1 to n_max, and no division.  Each term is one product
 of a value of g with an entry, summed in C, and the weights grow an
@@ -283,9 +285,16 @@ def _columns(dg: list, d: int, weighted: bool, n_max: int):
 
 def _next_column(prev: list, gvals: list, weighted: bool, ones: bool, m: int) -> list:
     """Column m from column m-1 (prev); ones says every value of g is 1.
-    Otherwise a lane group of the module docstring takes one packed sum per
-    block up to the one that holds its rows, runs Horner over those sums
-    lane by lane, and divides each lane by its row's W (h = id only).
+    Otherwise it walks the blocks of the module docstring once, in order,
+    and holds one block's packed sums at a time: each lane group at or
+    after the block takes the block's sum in one Horner step per lane.
+    The column starts at zeros.  Between blocks col[r] holds B(r, m) for
+    the rows of the blocks done and row r's acc over those blocks for the
+    later rows.  A row takes no term from a later block, so its acc is
+    final once its own block is in, and for h = id it is divided by W(r)
+    then.  The last group may run past n_max: its slice of col is then
+    shorter than _LANES, zip drops the lanes of the rows past n_max, and
+    the slice assignment puts back as many entries as it took out.
 
     The lane width is K = bits(G max |x|) + 1, with G the sum of |g(k)| over
     k = 1..n_max and x the packed run, one block's qb.  Lane t holds
@@ -306,19 +315,23 @@ def _next_column(prev: list, gvals: list, weighted: bool, ones: bool, m: int) ->
             col[n] = col[n - 1] * (n - 1 if weighted else 1) + prev[n - 1]
         return col
     rg = [0] * _LANES + gvals[:0:-1]  # rg[_LANES + n_max - k] = g(k): 0 past n_max, none for k < 1
-    blocks = _blocks(prev, m, sum(map(abs, gvals)), weighted)
-    col = [0] * (m - 1)
-    for n in range(m - 1, n_max + 1, _LANES):  # no group straddles a block edge
-        b, i = divmod(n - m + 1, _BLOCK)  # row n is row i of block b
-        accs, lo = None, n_max - n + m
-        for (packed, width), p, ws in blocks[: b + 1]:
+    gsum = sum(map(abs, gvals))
+    col, step = [0] * (n_max + 1), _BLOCK if weighted else n_max + 1  # h = one: one block
+    for s in range(m - 1, n_max + 1, step):  # the blocks [s, e)
+        e = min(s + step, n_max + 1)
+        qb, ws, p = prev[s:e], [], 1
+        if weighted:
+            for j in range(e - 1, s - 1, -1):  # p = h(j+1)...h(e-1)
+                qb[j - s] *= p
+                p *= j or 1  # h(0) weighs no entry; 1 keeps W(0) nonzero at m = 1
+                ws.append(p)
+        packed, width = _pack(qb, gsum)
+        for n in range(s, n_max + 1, _LANES):  # no group straddles a block edge
+            lo = n_max - n + s + 1  # packed[i] is X(s-_LANES+1+i), so it takes rg[lo + i]
             lanes = _unpack(sum(map(mul, rg[lo : lo + len(packed)], packed)), width)
-            accs = lanes if accs is None else [acc * p + c for acc, c in zip(accs, lanes)]
-            lo += _BLOCK
+            col[n : n + _LANES] = [acc * p + c for acc, c in zip(col[n : n + _LANES], lanes)]
         if weighted:  # B(r, m) = acc / W(r), exactly
-            accs = [acc // w for acc, w in zip(accs, ws[i:])]
-        col += accs
-    del col[n_max + 1 :]  # the lanes of rows past n_max
+            col[s:e] = [acc // w for acc, w in zip(col[s:e], reversed(ws))]
     return col
 
 
@@ -348,25 +361,6 @@ def _unpack(v: int, width: int) -> list:
         lanes.append(c)
     lanes.append(v)
     return lanes
-
-
-def _blocks(prev: list, m: int, gsum: int, weighted: bool) -> list:
-    """The blocks [s, e) of rows of column m-1 (prev), s = m-1, m-1+_BLOCK,
-    ..., the last cut at e = n_max+1: per block the triple (qb, P, W) of the
-    module docstring, with qb over j = s..e-1 packed by _pack and W the list
-    of the W(r) over r = s..e-1.  For h = one it is the single block from
-    s = m-1 on, with P = 1 and no W: its weights are 1."""
-    if not weighted:
-        return [(_pack(prev[m - 1 :], gsum), 1, None)]
-    blocks = []
-    for s in range(m - 1, len(prev), _BLOCK):
-        qb, ws, w = [], [], 1
-        for j in range(min(s + _BLOCK, len(prev)) - 1, s - 1, -1):  # w = h(j+1)...h(e-1)
-            qb.append(prev[j] * w)
-            w *= j or 1  # h(0) weighs no entry; 1 keeps W(0) nonzero at m = 1
-            ws.append(w)
-        blocks.append((_pack(qb[::-1], gsum), w, ws[::-1]))
-    return blocks
 
 
 def build_triangle(g: ArithFn, h: str, n_max: int) -> Triangle:

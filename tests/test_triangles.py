@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -380,6 +383,37 @@ def test_yielded_columns_belong_to_the_caller(values, h):
     for m, col in enumerate(iter_columns(arith.from_table(values), h, 10), 1):
         assert col == clean[m - 1]
         col[m] += 1
+
+
+_STREAM_PEAK = """
+import sys, tracemalloc
+from lclab import arith
+from lclab.triangles import iter_columns
+
+g = arith.sigma()
+g.values(300)  # the sieve stays out of the peak
+tracemalloc.start()
+largest = 0
+for col in iter_columns(g, "id", 300):
+    largest = max(largest, sys.getsizeof(col) + sum(map(sys.getsizeof, col)))
+print(tracemalloc.get_traced_memory()[1], largest)
+"""
+
+
+def test_column_stream_holds_a_few_columns():
+    # the stream holds column m-1, one block's packed sums, the column it
+    # builds and the copy it hands out; the packed sums of every block at
+    # once would take the peak past 6 times the largest column.  It is
+    # measured in a fresh interpreter, so the reading does not depend on
+    # earlier tests.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(triangles.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STREAM_PEAK], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak, largest = map(int, proc.stdout.split())
+    assert peak < 5 * largest
 
 
 @pytest.mark.parametrize(
