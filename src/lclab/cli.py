@@ -20,16 +20,22 @@ import argparse
 import contextlib
 import hashlib
 import json
-import math
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import TextIO
+from typing import Iterator, TextIO
 
 from . import arith
 from .arith import ArithFn, from_table, _ratio
-from .cache import ENV_VAR, CacheError, load_triangle, save_triangle
+from .cache import (
+    ENV_VAR,
+    CachedRows,
+    CacheError,
+    factored_rows,
+    load_triangle,
+    save_triangle,
+)
 from .concavity import (
     ConcavityReport,
     _ColumnStream,
@@ -125,36 +131,57 @@ def _sink(out: str | None):
 # ---------------------------------------------------------------- triangle
 
 
-def _ratio_text(b, scale: int) -> str:
-    """str(Fraction(b) / scale) for int or Fraction b, with one gcd and no
-    Fraction."""
-    num, den = b.numerator, b.denominator * scale
-    d = math.gcd(num, den)
-    return str(num // d) if d == den else f"{num // d}/{den // d}"
+def _ratio_text(p: int, d: int, q: int, scale: int) -> str:
+    """The text of a factored cell's value, p / (scale q / d), which is in
+    lowest terms (cache.factored): one exact division and no gcd."""
+    if not p:
+        return "0"
+    den = (scale if q == 1 else scale * q) // d
+    return str(p) if den == 1 else f"{p}/{den}"
 
 
-def format_triangle(tri: Triangle, fmt: str, scaled: bool, fh: TextIO) -> None:
-    """Write a triangle to the text file fh, one line per row as the row is
-    formatted.  Rows are printed for n = 0..n_max with entries in ascending
-    m; --scaled swaps in the integer-scaled entries and adds the per-row
-    scale.  The json form is written by hand, byte for byte what
-    json.dumps(body, indent=2) gives: the cells are digits, '-' and '/'
-    only, and the header strings go through json.dumps for their escapes."""
+def _scaled_text(p: int, d: int, q: int) -> str:
+    """The text of a factored cell's stored entry p d / q."""
+    return str(p * d) if q == 1 else f"{p * d}/{q}"
+
+
+def _row_cells(tri: Triangle | CachedRows, scaled: bool) -> Iterator[list[str]]:
+    """Each row's cells as text, one row at a time.  A cache hit's rows
+    come factored; a Triangle's entries are factored as save_triangle
+    factors them, or printed as they are when scaled."""
+    if isinstance(tri, Triangle):
+        if scaled:
+            for n in range(tri.n_max + 1):
+                yield [str(v) for v in tri.row_scaled(n)]
+            return
+        rows = factored_rows(tri)
+    else:
+        rows = tri.rows()
+    for n, row in enumerate(rows):
+        if scaled:
+            yield [_scaled_text(p, d, q) for p, d, q in row]
+        else:
+            scale = tri.scale(n)
+            yield [_ratio_text(p, d, q, scale) for p, d, q in row]
+
+
+def format_triangle(tri: Triangle | CachedRows, fmt: str, scaled: bool, fh: TextIO) -> None:
+    """Write a triangle, or the rows of a cache hit, to the text file fh,
+    one line per row as the row is formatted.  Rows are printed for
+    n = 0..n_max with entries in ascending m; --scaled swaps in the
+    integer-scaled entries and adds the per-row scale.  The json form is
+    written by hand, byte for byte what json.dumps(body, indent=2) gives:
+    the cells are digits, '-' and '/' only, and the header strings go
+    through json.dumps for their escapes."""
     if fmt not in ("table", "json", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
-
-    def cells(n: int) -> list[str]:
-        if scaled:
-            return [str(v) for v in tri.row_scaled(n)]
-        scale = tri.scale(n)
-        return [_ratio_text(b, scale) for b in tri.row_scaled(n)]
-
     last = tri.n_max
+    rows = _row_cells(tri, scaled)
     if fmt == "json":
         head = {"schema": 1, "g": tri.g.label, "h": tri.h, "n_max": last, "scaled": scaled}
         fh.write(json.dumps(head, indent=2)[: -len("\n}")] + ',\n  "rows": [\n')
-        for n in range(last + 1):
-            fh.write('    [\n      "' + '",\n      "'.join(cells(n)) + '"\n    ]')
+        for n, cells in enumerate(rows):
+            fh.write('    [\n      "' + '",\n      "'.join(cells) + '"\n    ]')
             fh.write(",\n" if n < last else "\n  ]")
         if scaled:
             fh.write(',\n  "scales": [\n')
@@ -165,25 +192,25 @@ def format_triangle(tri: Triangle, fmt: str, scaled: bool, fh: TextIO) -> None:
     if fmt == "table":
         fh.write(f"# g={tri.g.label} h={tri.h} n_max={last}"
                  + (" (integer-scaled)\n" if scaled else "\n"))
-    for n in range(last + 1):
+    for n, cells in enumerate(rows):
         if fmt == "csv":
             head = f"{n},{tri.scale(n)}," if scaled else f"{n},"
-            fh.write(head + ",".join(cells(n)) + "\n")
+            fh.write(head + ",".join(cells) + "\n")
         else:
             head = f"{n}: [x{tri.scale(n)}] " if scaled and tri.h == "id" else f"{n}: "
-            fh.write(head + " ".join(cells(n)) + "\n")
+            fh.write(head + " ".join(cells) + "\n")
 
 
 def cmd_triangle(args) -> int:
     g = parse_g(args.g)
     cache_dir = os.environ.get(ENV_VAR) or args.cache
-    tri = None
+    hit = tri = None
     if cache_dir:
         try:
-            tri = load_triangle(cache_dir, g, args.h, args.n)
+            hit = load_triangle(cache_dir, g, args.h, args.n)
         except CacheError as exc:
             print(f"lclab: warning: rebuilding, cache entry unusable: {exc}", file=sys.stderr)
-    if tri is None:
+    if hit is None:
         tri = build_triangle(g, args.h, args.n)
         if cache_dir:
             # a miss, a smaller build or a corrupt entry: the rebuild replaces it
@@ -191,8 +218,8 @@ def cmd_triangle(args) -> int:
                 save_triangle(cache_dir, tri)
             except OSError as exc:  # the output does not depend on the cache
                 print(f"lclab: warning: cache not written: {exc}", file=sys.stderr)
-    with _sink(args.out) as fh:
-        format_triangle(tri, args.format, args.scaled, fh)
+    with contextlib.nullcontext() if hit is None else hit, _sink(args.out) as fh:
+        format_triangle(tri if hit is None else hit, args.format, args.scaled, fh)
     return 0
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -7,22 +8,35 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from lclab import arith, cache
+from lclab.arith import _ratio
 from lclab.cache import (
     CacheError,
-    _decode,
+    _cells,
     _encode,
     entry_name,
+    factored,
     load_triangle,
     save_triangle,
 )
 from lclab.cli import main
-from lclab.triangles import build_triangle
+from lclab.triangles import Triangle, build_triangle
+
+
+def loaded(directory, g, h, n_max):
+    """load_triangle's hit as a Triangle, its rows read through once, or
+    None on a miss."""
+    hit = load_triangle(directory, g, h, n_max)
+    if hit is None:
+        return None
+    with hit:
+        rows = [[_ratio(p * d, q) for p, d, q in row] for row in hit.rows()]
+    return Triangle(hit.g, hit.h, rows)
 
 
 def test_round_trip(tmp_path):
     tri = build_triangle(arith.sigma(), "id", 12)
     save_triangle(tmp_path, tri)
-    back = load_triangle(tmp_path, arith.sigma(), "id", 12)
+    back = loaded(tmp_path, arith.sigma(), "id", 12)
     assert back is not None
     for n in range(13):
         assert back.row_scaled(n) == tri.row_scaled(n)
@@ -33,7 +47,7 @@ def test_round_trip_fraction_entries(tmp_path):
     g = arith.tilde(arith.sigma())
     tri = build_triangle(g, "one", 8)
     save_triangle(tmp_path, tri)
-    back = load_triangle(tmp_path, arith.tilde(arith.sigma()), "one", 8)
+    back = loaded(tmp_path, arith.tilde(arith.sigma()), "one", 8)
     assert back is not None
     for n in range(9):
         assert back.row_scaled(n) == tri.row_scaled(n)
@@ -41,7 +55,7 @@ def test_round_trip_fraction_entries(tmp_path):
 
 def test_larger_build_serves_smaller_request(tmp_path):
     save_triangle(tmp_path, build_triangle(arith.sigma(), "id", 15))
-    part = load_triangle(tmp_path, arith.sigma(), "id", 9)
+    part = loaded(tmp_path, arith.sigma(), "id", 9)
     assert part is not None
     assert part.n_max == 9
     fresh = build_triangle(arith.sigma(), "id", 9)
@@ -83,7 +97,7 @@ def test_schema_version_checked(tmp_path):
     head = json.loads(header)
     head["schema"] = 99
     path.write_bytes(json.dumps(head, sort_keys=True).encode() + b"\n" + rest)
-    with pytest.raises(CacheError, match="schema 99, expected 3"):
+    with pytest.raises(CacheError, match="schema 99, expected 4"):
         load_triangle(tmp_path, arith.sigma(), "id", 4)
 
 
@@ -93,25 +107,27 @@ def test_no_temp_litter(tmp_path):
     assert leftovers == []
 
 
-def _round_trips(v):
-    back = _decode(_encode(v))
-    assert back == v
-    # integral values come back as int, the rest as Fraction
-    assert type(back) is (int if Fraction(v).denominator == 1 else Fraction)
+def _round_trips(v, scale):
+    cell = factored(v, scale)
+    assert _cells(_encode(*cell).encode()) == [cell]
+    p, d, q = cell
+    assert Fraction(p * d, q) == v
 
 
-@example(0)
-@example(-7)
-@example(Fraction(6, 1))
-@given(st.one_of(st.integers(), st.fractions()))
-def test_entry_codec_round_trips(v):
-    _round_trips(v)
+@example(0, 6)
+@example(-7, 1)
+@example(Fraction(6, 1), 2)
+@example(Fraction(-9, 4), 24)
+@given(st.one_of(st.integers(), st.fractions()), st.integers(0, 40).map(math.factorial))
+def test_entry_codec_round_trips(v, scale):
+    _round_trips(v, scale)
 
 
 def test_entry_codec_past_str_limit():
     big = 10**5000 + 12345  # past CPython's 4300-digit int/str limit
     for v in (big, -big, Fraction(-big, 3), Fraction(7, big)):
-        _round_trips(v)
+        for scale in (1, math.factorial(30)):
+            _round_trips(v, scale)
 
 
 def test_one_entry_per_family(tmp_path):
@@ -123,10 +139,10 @@ def test_one_entry_per_family(tmp_path):
         [entry_name("sigma", "id"), entry_name("sigma", "one")]
     )
     # the later save replaced the earlier one
-    assert load_triangle(tmp_path, g, "id", 10).n_max == 10
+    assert loaded(tmp_path, g, "id", 10).n_max == 10
     # and the last writer wins, even with a smaller build
     save_triangle(tmp_path, build_triangle(g, "id", 3))
-    assert load_triangle(tmp_path, g, "id", 3).n_max == 3
+    assert loaded(tmp_path, g, "id", 3).n_max == 3
     assert load_triangle(tmp_path, g, "id", 4) is None
 
 
@@ -144,9 +160,12 @@ def test_corrupt_entry_raises_for_any_request(garbage, n, tmp_path):
 # a label and a key needing JSON escapes: a quote, a backslash, a non-ASCII letter
 ODD = 'custom:q"b\\ü.txt'
 
-# name -> (g, h, n_max): both h, n = 0, Fraction-valued g, escaped labels
-# (one with a newline, which the header must keep on one line), and an
-# entry of many rows
+# a table of ints with zeros and negative entries
+ZEROS = [1, 0, -3, 0, 5, 0, -2, 7, 0, 4]
+
+# name -> (g, h, n_max): both h, n = 0, Fraction-valued g, zero and
+# negative entries, escaped labels (one with a newline, which the header
+# must keep on one line), and an entry of many rows
 WRITE_CASES = {
     "sigma-id": (arith.sigma, "id", 12),
     "sigma-id-n0": (arith.sigma, "id", 0),
@@ -157,16 +176,30 @@ WRITE_CASES = {
         lambda: arith.from_table([1, 2, Fraction(-1, 3)], "custom:a\nb.txt", key="a\nb"), "one", 3
     ),
     "sigma-id-blocks": (arith.sigma, "id", 70),
+    "zeros-id": (lambda: arith.from_table(ZEROS), "id", 9),
+    "zeros-one": (lambda: arith.from_table(ZEROS), "one", 9),
 }
 
 
-def _line_entry(tri) -> bytes:
+def _hex(v) -> str:
+    """A stored entry as the cells of schemas 2 and 3 held it: hex, with a
+    "/" between numerator and denominator of a non-integral Fraction."""
+    return f"{v:x}" if isinstance(v, int) else f"{v.numerator:x}/{v.denominator:x}"
+
+
+def _line_entry(tri, schema=4) -> bytes:
     """The reference for the streamed save: the header and row lines joined
-    whole, then the trailer with their digest."""
-    head = {"schema": 3, "kind": "triangle", "g": tri.g.key, "g_label": tri.g.label,
+    whole, then the trailer with their digest.  Schema 3 held each stored
+    entry whole; schema 4 holds it factored by its gcd with the row scale."""
+    head = {"schema": schema, "kind": "triangle", "g": tri.g.key, "g_label": tri.g.label,
             "h": tri.h, "n_max": tri.n_max}
     lines = [json.dumps(head, sort_keys=True)]
-    lines += [",".join(_encode(v) for v in tri.row_scaled(n)) for n in range(tri.n_max + 1)]
+    for n in range(tri.n_max + 1):
+        if schema == 3:
+            cells = [_hex(v) for v in tri.row_scaled(n)]
+        else:
+            cells = [_encode(*factored(v, tri.scale(n))) for v in tri.row_scaled(n)]
+        lines.append(",".join(cells))
     blob = "".join(line + "\n" for line in lines).encode()
     return blob + b"sha256 " + hashlib.sha256(blob).hexdigest().encode() + b"\n"
 
@@ -177,7 +210,7 @@ def _whole_entry(tri) -> bytes:
     body = {
         "schema": 2, "kind": "triangle", "g": tri.g.key, "g_label": tri.g.label,
         "h": tri.h, "n_max": tri.n_max,
-        "rows": [[_encode(v) for v in tri.row_scaled(n)] for n in range(tri.n_max + 1)],
+        "rows": [[_hex(v) for v in tri.row_scaled(n)] for n in range(tri.n_max + 1)],
     }
     blob = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
     return b'{"checksum":"' + hashlib.sha256(blob).hexdigest().encode() + b'",' + blob[1:]
@@ -193,6 +226,32 @@ def test_streamed_save_matches_whole_payload(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", list(WRITE_CASES))
+def test_saved_cells_are_factored_in_lowest_terms(case, tmp_path):
+    # the writer's invariant, which a load trusts: each cell p*d/Q has
+    # p d / Q = B, d dividing L_n, and p / (L_n Q / d) in lowest terms, so a
+    # hit prints A = B / L_n with no gcd; a zero is written "0", and for
+    # h = one the rows are those of schema 3
+    g, h, n_max = WRITE_CASES[case]
+    tri = build_triangle(g(), h, n_max)
+    lines = save_triangle(tmp_path, tri).read_bytes().split(b"\n")[1:-2]
+    zeros = 0
+    for n, line in enumerate(lines):
+        scale = tri.scale(n)
+        for b, cell in zip(tri.row_scaled(n), line.split(b","), strict=True):
+            [(p, d, q)] = _cells(cell)
+            assert Fraction(p * d, q) == b
+            assert d >= 1 and q >= 1 and math.gcd(p * d, q) == 1 and scale % d == 0
+            if b == 0:
+                assert cell == b"0"
+                zeros += 1
+            else:
+                assert math.gcd(p, scale * q // d) == 1
+    assert zeros or not case.startswith("zeros")
+    if h == "one":
+        assert lines == _line_entry(tri, schema=3).split(b"\n")[1:-2]
+
+
+@pytest.mark.parametrize("case", list(WRITE_CASES))
 def test_entry_written_whole_loads_row_by_row(case, tmp_path):
     # a saved entry serves the exact size, any truncation and n = 0, and
     # nothing larger
@@ -200,7 +259,7 @@ def test_entry_written_whole_loads_row_by_row(case, tmp_path):
     tri = build_triangle(g(), h, n_max)
     save_triangle(tmp_path, tri)
     for n in sorted({0, n_max // 2, n_max}):
-        back = load_triangle(tmp_path, g(), h, n)
+        back = loaded(tmp_path, g(), h, n)
         assert (back.g.key, back.h, back.n_max) == (tri.g.key, h, n)
         assert [back.row_scaled(k) for k in range(n + 1)] == [tri.row_scaled(k) for k in range(n + 1)]
     assert load_triangle(tmp_path, g(), h, n_max + 1) is None
@@ -226,7 +285,7 @@ def _damaged(data: bytes):
         at = next(i for i in range(start, len(data)) if data[i] in b"0123456789abcdef")
         digit = b"1" if data[at:at + 1] == b"0" else b"0"
         yield f"digit changed at {at}", data[:at] + digit + data[at + 1 :]
-    yield "schema 4", data.replace(b'"schema": 3}', b'"schema": 4}', 1)
+    yield "schema 5", data.replace(b'"schema": 4}', b'"schema": 5}', 1)
     yield "last row dropped", data[:last] + data[trailer:]
     joint = data.index(b"\n", len(data) // 2)
     yield "two rows joined", data[:joint] + data[joint + 1 :]
@@ -328,7 +387,7 @@ def test_row_cell_count_checked_under_a_valid_checksum(n, tmp_path):
         with pytest.raises(CacheError, match="malformed entry"):
             load_triangle(tmp_path, arith.sigma(), "id", n)
     path.write_bytes(_resealed(data, lambda lines: lines))
-    assert load_triangle(tmp_path, arith.sigma(), "id", 10).row_scaled(5)[-1] == 1
+    assert loaded(tmp_path, arith.sigma(), "id", 10).row_scaled(5)[-1] == 1
 
 
 @pytest.mark.parametrize("cell", [b"xyz", b"1/0"], ids=["non-hex", "zero-denominator"])
@@ -374,7 +433,7 @@ def test_schema2_entry_is_replaced_in_place(tmp_path, capsys, monkeypatch):
     path.write_bytes(_whole_entry(build_triangle(arith.sigma(), "id", 150)))
     assert path.stat().st_size > 10 * cache._HEADER_CAP
     error, peak = _load_peak(cache_dir, 150)
-    error_text = "not a schema-3 cache entry"
+    error_text = "not a schema-4 cache entry"
     assert str(error) == f"{path.name}: {error_text}"
     assert peak < 4 * cache._HEADER_CAP  # the capped readline and its copies
     argv = ["triangle", "--g", "sigma", "--h", "id", "--n", "150", "--format", "csv"]
@@ -386,6 +445,52 @@ def test_schema2_entry_is_replaced_in_place(tmp_path, capsys, monkeypatch):
     assert err == f"lclab: warning: rebuilding, cache entry unusable: {path.name}: {error_text}\n"
     assert [p.name for p in cache_dir.iterdir()] == [path.name]
     with open(path, "rb") as fh:
-        assert json.loads(fh.readline())["schema"] == 3
+        assert json.loads(fh.readline())["schema"] == 4
     assert main(argv + ["--cache", str(cache_dir)]) == 0
+    assert capsys.readouterr() == (cold, "")
+
+
+def _cell_edit(row: int, cell: bytes):
+    """An edit for _resealed: the first cell of row line `row` becomes cell."""
+
+    def edit(lines):
+        lines[1 + row] = cell + lines[1 + row][lines[1 + row].index(b","):]
+        return lines
+
+    return edit
+
+
+# what -> the crafted bytes of an n = 10 (sigma, id) entry, checksum
+# recomputed; row 7, with 7! = 5040 = 0x13b0, has a first cell "p*d"
+CRAFTED = {
+    "cofactor 0": lambda data, tri: _resealed(data, _cell_edit(7, b"1*0")),
+    "cofactor not dividing 7!": lambda data, tri: _resealed(data, _cell_edit(7, b"1*b")),
+    "cofactor above 7!": lambda data, tri: _resealed(data, _cell_edit(7, b"1*2760")),
+    "empty cofactor": lambda data, tri: _resealed(data, _cell_edit(7, b"1*")),
+    "schema 3": lambda data, tri: _line_entry(tri, schema=3),
+}
+
+
+@pytest.mark.parametrize("what", list(CRAFTED))
+@pytest.mark.parametrize("n", [7, 10])
+def test_crafted_entry_is_repaired(what, n, tmp_path, capsys, monkeypatch):
+    # under a valid checksum, a bad cofactor or a schema-3 entry is named
+    # once, before any output: the run prints the cold output, the rebuild
+    # replaces the entry, and the next run is a silent hit
+    monkeypatch.delenv("LCLAB_CACHE", raising=False)
+    tri = build_triangle(arith.sigma(), "id", 10)
+    path = save_triangle(tmp_path, tri)
+    data = path.read_bytes()
+    assert data.split(b"\n")[1 + 7].split(b",")[0].count(b"*") == 1
+    path.write_bytes(CRAFTED[what](data, tri))
+    argv = ["triangle", "--g", "sigma", "--h", "id", "--n", str(n), "--format", "csv"]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    assert main(argv + ["--cache", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert out == cold
+    assert err.startswith(f"lclab: warning: rebuilding, cache entry unusable: {path.name}: ")
+    assert err.count("\n") == 1
+    assert path.read_bytes() == _line_entry(build_triangle(arith.sigma(), "id", n))
+    assert main(argv + ["--cache", str(tmp_path)]) == 0
     assert capsys.readouterr() == (cold, "")

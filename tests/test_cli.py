@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -5,15 +6,16 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lclab import arith, cli
-from lclab.cache import entry_name
+from lclab.cache import entry_name, factored
 from lclab.cli import _ratio_text, ingest_custom_g, main, parse_g, parse_rational, parse_xs
 from lclab.triangles import Triangle, build_triangle, closed_form_oracle
 from test_golden import GOLDEN, TABLES
@@ -300,6 +302,46 @@ def test_check_horizontal_holds_no_triangle():
     assert peak < triangle_size / 3
 
 
+_WARM_PEAK = """
+import sys, tempfile, tracemalloc
+from lclab import arith, cli
+from lclab.triangles import build_triangle
+
+parser = cli.build_parser()  # built once, so its own allocations stay out
+cli.build_parser = lambda: parser
+with tempfile.TemporaryDirectory() as tmp:
+    argv = ["triangle", "--g", "sigma", "--h", "id", "--n", "200", "--format", "json",
+            "--out", tmp + "/tri.json", "--cache", tmp + "/c"]
+    assert cli.main(argv) == 0  # a miss: build, save and render
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tri = build_triangle(arith.sigma(), "id", 200)
+    triangle_size = tracemalloc.get_traced_memory()[0] - base
+    del tri
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    code = cli.main(argv)
+    peak = tracemalloc.get_traced_memory()[1] - base
+    tracemalloc.stop()
+print(code, peak, triangle_size)
+"""
+
+
+def test_warm_triangle_holds_no_triangle():
+    # a hit streams its rows from the file, one decoded row at a time: its
+    # peak stays far below the triangle it prints (measured in a fresh
+    # interpreter, as for check horizontal)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env.pop("LCLAB_CACHE", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _WARM_PEAK], capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, peak, triangle_size = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak < triangle_size / 3
+
+
 @pytest.mark.parametrize("run_kind", ["cold", "warm"])
 def test_triangle_holds_one_row_of_text(run_kind, tmp_path, monkeypatch):
     # the render, the cache write and the cache read stream one row at a
@@ -542,7 +584,7 @@ def test_triangle_cache_entry_not_an_object(tmp_path, capsys):
     code, second, err = run(capsys, *argv)
     assert (code, second) == (0, first)
     warning = "lclab: warning: rebuilding, cache entry unusable"
-    assert err == f"{warning}: {entry.name}: not a schema-3 cache entry\n"
+    assert err == f"{warning}: {entry.name}: not a schema-4 cache entry\n"
     assert run(capsys, *argv) == (0, first, "")
 
 
@@ -660,7 +702,7 @@ def test_main_restores_int_str_limit(capsys):
 )
 def test_ratio_text_matches_fraction_str(b, n, h):
     scale = Triangle(arith.one(), h, [[1]]).scale(n)
-    assert _ratio_text(b, scale) == str(Fraction(b) / scale)
+    assert _ratio_text(*factored(b, scale), scale) == str(Fraction(b) / scale)
 
 
 # a custom label needing JSON escapes: a quote, a backslash, a non-ASCII letter
@@ -754,6 +796,80 @@ def test_warm_cache_output_matches_cold(family, fmt, scaled, tmp_path, capsys):
     assert len(list(exact.iterdir())) == len(list(larger.iterdir())) == 1
 
 
+# sizes from n = 0 up, and on both sides of the column kernel's first two
+# block edges (32 and 64 rows)
+WARM_SIZES = [*range(0, 9), *range(31, 35), *range(63, 67)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(-9, 9), min_size=69, max_size=69),
+        st.lists(st.fractions(-9, 9, max_denominator=6), min_size=69, max_size=69),
+    ),
+    st.sampled_from(["one", "id"]),
+    st.sampled_from(WARM_SIZES),
+    st.integers(1, 3),
+)
+def test_warm_cache_output_matches_cold_on_any_table(values, h, n, more):
+    # int tables with zeros and negative entries, and Fraction tables: a
+    # miss, an exact hit and a truncated hit print the cold bytes in every
+    # format, scaled or not, and the cached runs write nothing to stderr
+    with tempfile.TemporaryDirectory() as tmp:
+        table = os.path.join(tmp, "g.txt")
+        with open(table, "w") as fh:
+            fh.write("".join(f"{v}\n" for v in [1] + values))
+
+        def triangle(size, *extra):
+            out, err = os.path.join(tmp, "out.txt"), io.StringIO()
+            argv = ["triangle", "--g", f"custom={table}", "--h", h, "--n", str(size), *extra]
+            with contextlib.redirect_stderr(err):
+                assert main(argv + ["--out", out]) == 0
+            with open(out) as fh:
+                return fh.read(), err.getvalue()
+
+        larger = os.path.join(tmp, "larger")
+        triangle(n + more, "--cache", larger)
+        for fmt in ("table", "json", "csv"):
+            for scaled in ((), ("--scaled",)):
+                cold = (triangle(n, "--format", fmt, *scaled)[0], "")
+                exact = ["--format", fmt, *scaled, "--cache", os.path.join(tmp, f"{fmt}{scaled}")]
+                assert triangle(n, *exact) == cold  # miss, writes n
+                assert triangle(n, *exact) == cold  # exact hit
+                assert triangle(n, "--format", fmt, *scaled, "--cache", larger) == cold  # truncated hit
+
+
+class _GcdCounter:
+    """math.gcd, counting its calls."""
+
+    def __init__(self, gcd):
+        self.gcd, self.calls = gcd, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.gcd(*args)
+
+
+@pytest.mark.parametrize("scaled", [(), ("--scaled",)], ids=["values", "scaled"])
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_warm_triangle_forms_no_gcd(fmt, scaled, tmp_path, capsys, monkeypatch):
+    # a hit reads each value factored by its gcd with n!, so it prints the
+    # lowest terms with no gcd at all; the cold run, counted the same way,
+    # shows that the count sees the render's gcds
+    monkeypatch.delenv("LCLAB_CACHE", raising=False)
+    argv = ["triangle", "--g", "sigma", "--h", "id", "--n", "40", "--format", fmt, *scaled,
+            "--cache", str(tmp_path)]
+    counter = _GcdCounter(math.gcd)
+    monkeypatch.setattr(math, "gcd", counter)
+    assert main(argv) == 0
+    cold, cold_calls = capsys.readouterr(), counter.calls
+    assert cold_calls >= 40 * 41 // 2 - 1  # one per nonzero cell of the save
+    counter.calls = 0
+    assert main(argv) == 0
+    assert capsys.readouterr() == cold
+    assert counter.calls == 0
+
+
 def test_triangle_schema1_entry_is_rebuilt_once(tmp_path, capsys):
     # an entry as schema 1 wrote it: decimal strings, digest of the sorted body
     tri = build_triangle(arith.sigma(), "id", 5)
@@ -772,7 +888,7 @@ def test_triangle_schema1_entry_is_rebuilt_once(tmp_path, capsys):
     assert (code, out) == (0, cold)
     # one line of JSON with no newline, so not even a header
     warning = "lclab: warning: rebuilding, cache entry unusable"
-    assert err == f"{warning}: triangle-sigma-id.json: not a schema-3 cache entry\n"
+    assert err == f"{warning}: triangle-sigma-id.json: not a schema-4 cache entry\n"
     assert run(capsys, *argv, "--cache", str(cache_dir)) == (0, cold, "")
 
 
