@@ -32,9 +32,11 @@ from .cache import (
     ENV_VAR,
     CachedRows,
     CacheError,
-    factored_rows,
     load_triangle,
+    reopen,
+    row_text,
     save_triangle,
+    unlimited_digits,
 )
 from .concavity import (
     ConcavityReport,
@@ -131,38 +133,16 @@ def _sink(out: str | None):
 # ---------------------------------------------------------------- triangle
 
 
-def _ratio_text(p: int, d: int, q: int, scale: int) -> str:
-    """The text of a factored cell's value, p / (scale q / d), which is in
-    lowest terms (cache.factored): one exact division and no gcd."""
-    if not p:
-        return "0"
-    den = (scale if q == 1 else scale * q) // d
-    return str(p) if den == 1 else f"{p}/{den}"
+_SEPARATORS = {"table": " ", "json": '",\n      "', "csv": ","}  # between a row's cells
 
 
-def _scaled_text(p: int, d: int, q: int) -> str:
-    """The text of a factored cell's stored entry p d / q."""
-    return str(p * d) if q == 1 else f"{p * d}/{q}"
-
-
-def _row_cells(tri: Triangle | CachedRows, scaled: bool) -> Iterator[list[str]]:
-    """Each row's cells as text, one row at a time.  A cache hit's rows
-    come factored; a Triangle's entries are factored as save_triangle
-    factors them, or printed as they are when scaled."""
-    if isinstance(tri, Triangle):
-        if scaled:
-            for n in range(tri.n_max + 1):
-                yield [str(v) for v in tri.row_scaled(n)]
-            return
-        rows = factored_rows(tri)
-    else:
-        rows = tri.rows()
-    for n, row in enumerate(rows):
-        if scaled:
-            yield [_scaled_text(p, d, q) for p, d, q in row]
-        else:
-            scale = tri.scale(n)
-            yield [_ratio_text(p, d, q, scale) for p, d, q in row]
+def _row_pieces(tri: Triangle | CachedRows, scaled: bool, sep: str) -> Iterator[list[str]]:
+    """Each row's cells as text joined by sep, one row at a time, as pieces
+    to write in turn."""
+    if isinstance(tri, CachedRows):
+        return tri.rows(scaled, sep)
+    return ([sep.join(map(str, tri.row_scaled(n)) if scaled else row_text(tri, n))]
+            for n in range(tri.n_max + 1))
 
 
 def format_triangle(tri: Triangle | CachedRows, fmt: str, scaled: bool, fh: TextIO) -> None:
@@ -173,16 +153,17 @@ def format_triangle(tri: Triangle | CachedRows, fmt: str, scaled: bool, fh: Text
     written by hand, byte for byte what json.dumps(body, indent=2) gives:
     the cells are digits, '-' and '/' only, and the header strings go
     through json.dumps for their escapes."""
-    if fmt not in ("table", "json", "csv"):
+    if fmt not in _SEPARATORS:
         raise ValueError(f"unknown format {fmt!r}")
     last = tri.n_max
-    rows = _row_cells(tri, scaled)
+    rows = _row_pieces(tri, scaled, _SEPARATORS[fmt])
     if fmt == "json":
         head = {"schema": 1, "g": tri.g.label, "h": tri.h, "n_max": last, "scaled": scaled}
         fh.write(json.dumps(head, indent=2)[: -len("\n}")] + ',\n  "rows": [\n')
-        for n, cells in enumerate(rows):
-            fh.write('    [\n      "' + '",\n      "'.join(cells) + '"\n    ]')
-            fh.write(",\n" if n < last else "\n  ]")
+        for n, pieces in enumerate(rows):
+            fh.write('    [\n      "')
+            fh.writelines(pieces)
+            fh.write('"\n    ]' + (",\n" if n < last else "\n  ]"))
         if scaled:
             fh.write(',\n  "scales": [\n')
             for n in range(last + 1):
@@ -192,13 +173,13 @@ def format_triangle(tri: Triangle | CachedRows, fmt: str, scaled: bool, fh: Text
     if fmt == "table":
         fh.write(f"# g={tri.g.label} h={tri.h} n_max={last}"
                  + (" (integer-scaled)\n" if scaled else "\n"))
-    for n, cells in enumerate(rows):
+    for n, pieces in enumerate(rows):
         if fmt == "csv":
-            head = f"{n},{tri.scale(n)}," if scaled else f"{n},"
-            fh.write(head + ",".join(cells) + "\n")
+            fh.write(f"{n},{tri.scale(n)}," if scaled else f"{n},")
         else:
-            head = f"{n}: [x{tri.scale(n)}] " if scaled and tri.h == "id" else f"{n}: "
-            fh.write(head + " ".join(cells) + "\n")
+            fh.write(f"{n}: [x{tri.scale(n)}] " if scaled and tri.h == "id" else f"{n}: ")
+        fh.writelines(pieces)
+        fh.write("\n")
 
 
 def cmd_triangle(args) -> int:
@@ -213,9 +194,10 @@ def cmd_triangle(args) -> int:
     if hit is None:
         tri = build_triangle(g, args.h, args.n)
         if cache_dir:
-            # a miss, a smaller build or a corrupt entry: the rebuild replaces it
+            # a miss, a smaller build or a corrupt entry: the rebuild replaces
+            # it, and the render reads it back, so each cell's text is formed once
             try:
-                save_triangle(cache_dir, tri)
+                hit = reopen(save_triangle(cache_dir, tri), tri)
             except OSError as exc:  # the output does not depend on the cache
                 print(f"lclab: warning: cache not written: {exc}", file=sys.stderr)
     with contextlib.nullcontext() if hit is None else hit, _sink(args.out) as fh:
@@ -460,11 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # entries past 4300 digits print in full; library callers keep the limit
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
-        code = args.func(args)
+        with unlimited_digits():  # entries past 4300 digits print in full
+            code = args.func(args)
         sys.stdout.flush()  # a reader that closed first shows here, not at exit
         return code
     except BrokenPipeError:  # end as a shell reports a SIGPIPE, and quietly
@@ -480,8 +460,6 @@ def main(argv=None) -> int:
     except MemoryError:  # a size past memory is a usage error too
         print("lclab: error: out of memory", file=sys.stderr)
         return 2
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

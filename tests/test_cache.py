@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -11,25 +12,26 @@ from lclab import arith, cache
 from lclab.arith import _ratio
 from lclab.cache import (
     CacheError,
-    _cells,
-    _encode,
     entry_name,
-    factored,
     load_triangle,
+    row_text,
     save_triangle,
+    scaled_cells,
+    unlimited_digits,
 )
 from lclab.cli import main
 from lclab.triangles import Triangle, build_triangle
 
 
 def loaded(directory, g, h, n_max):
-    """load_triangle's hit as a Triangle, its rows read through once, or
-    None on a miss."""
+    """load_triangle's hit as a Triangle, its rows read through once and
+    each value's text parsed by Fraction, or None on a miss."""
     hit = load_triangle(directory, g, h, n_max)
     if hit is None:
         return None
     with hit:
-        rows = [[_ratio(p * d, q) for p, d, q in row] for row in hit.rows()]
+        rows = [[_ratio(Fraction(cell) * hit.scale(n)) for cell in "".join(pieces).split(",")]
+                for n, pieces in enumerate(hit.rows())]
     return Triangle(hit.g, hit.h, rows)
 
 
@@ -97,7 +99,7 @@ def test_schema_version_checked(tmp_path):
     head = json.loads(header)
     head["schema"] = 99
     path.write_bytes(json.dumps(head, sort_keys=True).encode() + b"\n" + rest)
-    with pytest.raises(CacheError, match="schema 99, expected 4"):
+    with pytest.raises(CacheError, match="schema 99, expected 5"):
         load_triangle(tmp_path, arith.sigma(), "id", 4)
 
 
@@ -107,27 +109,49 @@ def test_no_temp_litter(tmp_path):
     assert leftovers == []
 
 
-def _round_trips(v, scale):
-    cell = factored(v, scale)
-    assert _cells(_encode(*cell).encode()) == [cell]
-    p, d, q = cell
-    assert Fraction(p * d, q) == v
+@example(0, 6, "id")
+@example(-7, 1, "one")
+@example(Fraction(6, 1), 2, "id")
+@example(Fraction(-9, 4), 4, "id")
+@given(st.one_of(st.integers(), st.fractions()), st.integers(0, 40), st.sampled_from(["one", "id"]))
+def test_entry_codec_round_trips(v, n, h):
+    # a stored entry B in row n: its cell is the text of B / L_n in the cell
+    # grammar, and the scaled decode gives back the text of B
+    tri = Triangle(arith.one(), h, [[1]] * n + [[v]])  # only row n is read
+    scale = tri.scale(n)
+    [text] = row_text(tri, n)
+    assert cache._ROW.fullmatch(text.encode())
+    assert Fraction(text) * scale == v
+    assert scaled_cells(text, scale) == [str(v)]
 
 
-@example(0, 6)
-@example(-7, 1)
-@example(Fraction(6, 1), 2)
-@example(Fraction(-9, 4), 24)
-@given(st.one_of(st.integers(), st.fractions()), st.integers(0, 40).map(math.factorial))
-def test_entry_codec_round_trips(v, scale):
-    _round_trips(v, scale)
-
-
-def test_entry_codec_past_str_limit():
-    big = 10**5000 + 12345  # past CPython's 4300-digit int/str limit
-    for v in (big, -big, Fraction(-big, 3), Fraction(7, big)):
-        for scale in (1, math.factorial(30)):
-            _round_trips(v, scale)
+def test_entry_codec_past_str_limit(tmp_path):
+    # 10^4999 + 12345 has 5000 digits, past CPython's default 4300: the save
+    # and the scaled decode of a hit lift the limit for their own work and
+    # restore the caller's, outside the command line as well
+    big = 10**4999 + 12345
+    g = arith.from_table([1, big, Fraction(-big, 3)], key="big")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default, whatever the environment set
+    try:
+        for h in ("one", "id"):
+            tri = build_triangle(g, h, 3)
+            save_triangle(tmp_path, tri)
+            assert sys.get_int_max_str_digits() == 4300
+            with load_triangle(tmp_path, g, h, 3) as hit:
+                lines = list(map("".join, hit.rows()))  # each pass reads the file on its own
+                rows = list(zip(lines, map("".join, hit.rows(scaled=True))))
+            assert sys.get_int_max_str_digits() == 4300
+            with unlimited_digits():
+                values = [b for n in range(4) for b in tri.row_scaled(n)]
+                assert max(len(str(b)) for b in values) >= 5000
+                assert any(isinstance(b, Fraction) for b in values)
+                for n, (line, scaled) in enumerate(rows):
+                    row = tri.row_scaled(n)
+                    assert line.split(",") == [str(Fraction(b) / tri.scale(n)) for b in row]
+                    assert scaled.split(",") == [str(b) for b in row]
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_one_entry_per_family(tmp_path):
@@ -187,18 +211,30 @@ def _hex(v) -> str:
     return f"{v:x}" if isinstance(v, int) else f"{v.numerator:x}/{v.denominator:x}"
 
 
-def _line_entry(tri, schema=4) -> bytes:
+def _factored_hex(v, scale) -> str:
+    """A stored entry B = P/Q as schema 4 held it: with d = gcd(P, scale)
+    and p = P/d, "p", "p*d", "p/Q" or "p*d/Q" in hex."""
+    num = v.numerator
+    d = math.gcd(num, scale) if num else 1
+    text = f"{num // d:x}" if d == 1 else f"{num // d:x}*{d:x}"
+    return text if v.denominator == 1 else f"{text}/{v.denominator:x}"
+
+
+def _line_entry(tri, schema=5) -> bytes:
     """The reference for the streamed save: the header and row lines joined
     whole, then the trailer with their digest.  Schema 3 held each stored
-    entry whole; schema 4 holds it factored by its gcd with the row scale."""
+    entry whole in hex, schema 4 factored by its gcd with the row scale,
+    and schema 5 holds the text of each value B / L_n as Fraction gives it."""
     head = {"schema": schema, "kind": "triangle", "g": tri.g.key, "g_label": tri.g.label,
             "h": tri.h, "n_max": tri.n_max}
     lines = [json.dumps(head, sort_keys=True)]
     for n in range(tri.n_max + 1):
         if schema == 3:
             cells = [_hex(v) for v in tri.row_scaled(n)]
+        elif schema == 4:
+            cells = [_factored_hex(v, tri.scale(n)) for v in tri.row_scaled(n)]
         else:
-            cells = [_encode(*factored(v, tri.scale(n))) for v in tri.row_scaled(n)]
+            cells = [str(Fraction(v) / tri.scale(n)) for v in tri.row_scaled(n)]
         lines.append(",".join(cells))
     blob = "".join(line + "\n" for line in lines).encode()
     return blob + b"sha256 " + hashlib.sha256(blob).hexdigest().encode() + b"\n"
@@ -227,28 +263,27 @@ def test_streamed_save_matches_whole_payload(case, tmp_path):
 
 @pytest.mark.parametrize("case", list(WRITE_CASES))
 def test_saved_cells_are_factored_in_lowest_terms(case, tmp_path):
-    # the writer's invariant, which a load trusts: each cell p*d/Q has
-    # p d / Q = B, d dividing L_n, and p / (L_n Q / d) in lowest terms, so a
-    # hit prints A = B / L_n with no gcd; a zero is written "0", and for
-    # h = one the rows are those of schema 3
+    # the writer's invariant, which a load trusts: each cell is A = B / L_n
+    # with its gcd with L_n factored out, "p" or "p/q" in lowest terms with
+    # q >= 1, in the cell grammar, so a hit prints it as it is; a zero is
+    # written "0", and for h = one the cells are the stored entries
     g, h, n_max = WRITE_CASES[case]
     tri = build_triangle(g(), h, n_max)
     lines = save_triangle(tmp_path, tri).read_bytes().split(b"\n")[1:-2]
     zeros = 0
     for n, line in enumerate(lines):
         scale = tri.scale(n)
+        assert cache._ROW.fullmatch(line)
         for b, cell in zip(tri.row_scaled(n), line.split(b","), strict=True):
-            [(p, d, q)] = _cells(cell)
-            assert Fraction(p * d, q) == b
-            assert d >= 1 and q >= 1 and math.gcd(p * d, q) == 1 and scale % d == 0
-            if b == 0:
-                assert cell == b"0"
-                zeros += 1
-            else:
-                assert math.gcd(p, scale * q // d) == 1
+            p, slash, q = cell.decode().partition("/")
+            p, q = int(p), int(q) if slash else 1
+            assert Fraction(p, q) * scale == b
+            assert q > 1 or not slash
+            assert math.gcd(p, q) == 1
+            zeros += cell == b"0"
+            if h == "one":
+                assert cell.decode() == str(b)
     assert zeros or not case.startswith("zeros")
-    if h == "one":
-        assert lines == _line_entry(tri, schema=3).split(b"\n")[1:-2]
 
 
 @pytest.mark.parametrize("case", list(WRITE_CASES))
@@ -282,10 +317,10 @@ def _damaged(data: bytes):
         yield f"cut at {cut}", data[:cut]
     yield "a trailing byte", data + b" "
     for start in (rows + 20, last + 20):  # a digit in an early and in the last row
-        at = next(i for i in range(start, len(data)) if data[i] in b"0123456789abcdef")
+        at = next(i for i in range(start, len(data)) if data[i] in b"0123456789")
         digit = b"1" if data[at:at + 1] == b"0" else b"0"
         yield f"digit changed at {at}", data[:at] + digit + data[at + 1 :]
-    yield "schema 5", data.replace(b'"schema": 4}', b'"schema": 5}', 1)
+    yield "schema 6", data.replace(b'"schema": 5}', b'"schema": 6}', 1)
     yield "last row dropped", data[:last] + data[trailer:]
     joint = data.index(b"\n", len(data) // 2)
     yield "two rows joined", data[:joint] + data[joint + 1 :]
@@ -309,10 +344,10 @@ def test_damaged_entry_raises_for_any_request(n, tmp_path):
 
 
 def _flip_mid_digit(path):
-    """Change one hex digit near the middle of the file, in place."""
+    """Change one decimal digit near the middle of the file, in place."""
     with open(path, "r+b") as fh:
         fh.seek(path.stat().st_size // 2)
-        at = fh.tell() + next(i for i, c in enumerate(fh.read(256)) if c in b"0123456789abcdef")
+        at = fh.tell() + next(i for i, c in enumerate(fh.read(256)) if c in b"0123456789")
         fh.seek(at)
         digit = fh.read(1)
         fh.seek(at)
@@ -433,7 +468,7 @@ def test_schema2_entry_is_replaced_in_place(tmp_path, capsys, monkeypatch):
     path.write_bytes(_whole_entry(build_triangle(arith.sigma(), "id", 150)))
     assert path.stat().st_size > 10 * cache._HEADER_CAP
     error, peak = _load_peak(cache_dir, 150)
-    error_text = "not a schema-4 cache entry"
+    error_text = "not a schema-5 cache entry"
     assert str(error) == f"{path.name}: {error_text}"
     assert peak < 4 * cache._HEADER_CAP  # the capped readline and its copies
     argv = ["triangle", "--g", "sigma", "--h", "id", "--n", "150", "--format", "csv"]
@@ -445,7 +480,7 @@ def test_schema2_entry_is_replaced_in_place(tmp_path, capsys, monkeypatch):
     assert err == f"lclab: warning: rebuilding, cache entry unusable: {path.name}: {error_text}\n"
     assert [p.name for p in cache_dir.iterdir()] == [path.name]
     with open(path, "rb") as fh:
-        assert json.loads(fh.readline())["schema"] == 4
+        assert json.loads(fh.readline())["schema"] == 5
     assert main(argv + ["--cache", str(cache_dir)]) == 0
     assert capsys.readouterr() == (cold, "")
 
@@ -461,36 +496,53 @@ def _cell_edit(row: int, cell: bytes):
 
 
 # what -> the crafted bytes of an n = 10 (sigma, id) entry, checksum
-# recomputed; row 7, with 7! = 5040 = 0x13b0, has a first cell "p*d"
+# recomputed: the first cell of row 7 made one that is not in the cell
+# grammar (a leading zero, a signed zero, a zero, signed or padded
+# denominator, two slashes, nothing, a letter, or the "p*d" of schema 4),
+# or the whole entry written as schemas 3 and 4 held it
 CRAFTED = {
-    "cofactor 0": lambda data, tri: _resealed(data, _cell_edit(7, b"1*0")),
-    "cofactor not dividing 7!": lambda data, tri: _resealed(data, _cell_edit(7, b"1*b")),
-    "cofactor above 7!": lambda data, tri: _resealed(data, _cell_edit(7, b"1*2760")),
-    "empty cofactor": lambda data, tri: _resealed(data, _cell_edit(7, b"1*")),
+    **{what: (lambda cell: lambda data, tri: _resealed(data, _cell_edit(7, cell)))(cell)
+       for what, cell in {
+           "leading zero": b"007",
+           "negative zero": b"-0",
+           "zero denominator": b"1/0",
+           "padded denominator": b"1/01",
+           "two slashes": b"1/2/3",
+           "negative denominator": b"1/-2",
+           "empty cell": b"",
+           "letter": b"1a",
+           "cofactor 0": b"1*0",
+           "cofactor not dividing 7!": b"1*b",
+           "cofactor above 7!": b"1*2760",
+           "empty cofactor": b"1*",
+       }.items()},
     "schema 3": lambda data, tri: _line_entry(tri, schema=3),
+    "schema 4": lambda data, tri: _line_entry(tri, schema=4),
 }
 
 
 @pytest.mark.parametrize("what", list(CRAFTED))
 @pytest.mark.parametrize("n", [7, 10])
 def test_crafted_entry_is_repaired(what, n, tmp_path, capsys, monkeypatch):
-    # under a valid checksum, a bad cofactor or a schema-3 entry is named
-    # once, before any output: the run prints the cold output, the rebuild
+    # under a valid checksum, a cell outside the grammar or an entry of an
+    # earlier schema is named once, before any output, in every format and
+    # with or without --scaled: the run prints the cold output, the rebuild
     # replaces the entry, and the next run is a silent hit
     monkeypatch.delenv("LCLAB_CACHE", raising=False)
     tri = build_triangle(arith.sigma(), "id", 10)
     path = save_triangle(tmp_path, tri)
-    data = path.read_bytes()
-    assert data.split(b"\n")[1 + 7].split(b",")[0].count(b"*") == 1
-    path.write_bytes(CRAFTED[what](data, tri))
-    argv = ["triangle", "--g", "sigma", "--h", "id", "--n", str(n), "--format", "csv"]
-    assert main(argv) == 0
-    cold = capsys.readouterr().out
-    assert main(argv + ["--cache", str(tmp_path)]) == 0
-    out, err = capsys.readouterr()
-    assert out == cold
-    assert err.startswith(f"lclab: warning: rebuilding, cache entry unusable: {path.name}: ")
-    assert err.count("\n") == 1
-    assert path.read_bytes() == _line_entry(build_triangle(arith.sigma(), "id", n))
-    assert main(argv + ["--cache", str(tmp_path)]) == 0
-    assert capsys.readouterr() == (cold, "")
+    crafted = CRAFTED[what](path.read_bytes(), tri)
+    for fmt in ("table", "json", "csv"):
+        for scaled in ((), ("--scaled",)):
+            path.write_bytes(crafted)
+            argv = ["triangle", "--g", "sigma", "--h", "id", "--n", str(n), "--format", fmt, *scaled]
+            assert main(argv) == 0
+            cold = capsys.readouterr().out
+            assert main(argv + ["--cache", str(tmp_path)]) == 0
+            out, err = capsys.readouterr()
+            assert out == cold
+            assert err.startswith(f"lclab: warning: rebuilding, cache entry unusable: {path.name}: ")
+            assert err.count("\n") == 1
+            assert path.read_bytes() == _line_entry(build_triangle(arith.sigma(), "id", n))
+            assert main(argv + ["--cache", str(tmp_path)]) == 0
+            assert capsys.readouterr() == (cold, "")

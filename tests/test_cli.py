@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lclab import arith, cli
-from lclab.cache import entry_name, factored
-from lclab.cli import _ratio_text, ingest_custom_g, main, parse_g, parse_rational, parse_xs
+from lclab.cache import entry_name, row_text
+from lclab.cli import ingest_custom_g, main, parse_g, parse_rational, parse_xs
 from lclab.triangles import Triangle, build_triangle, closed_form_oracle
 from test_golden import GOLDEN, TABLES
 
@@ -584,7 +584,7 @@ def test_triangle_cache_entry_not_an_object(tmp_path, capsys):
     code, second, err = run(capsys, *argv)
     assert (code, second) == (0, first)
     warning = "lclab: warning: rebuilding, cache entry unusable"
-    assert err == f"{warning}: {entry.name}: not a schema-4 cache entry\n"
+    assert err == f"{warning}: {entry.name}: not a schema-5 cache entry\n"
     assert run(capsys, *argv) == (0, first, "")
 
 
@@ -700,9 +700,9 @@ def test_main_restores_int_str_limit(capsys):
     st.integers(0, 40),
     st.sampled_from(["one", "id"]),
 )
-def test_ratio_text_matches_fraction_str(b, n, h):
-    scale = Triangle(arith.one(), h, [[1]]).scale(n)
-    assert _ratio_text(*factored(b, scale), scale) == str(Fraction(b) / scale)
+def test_row_text_matches_fraction_str(b, n, h):
+    tri = Triangle(arith.one(), h, [[1]] * n + [[b, 0]])  # only row n is read
+    assert row_text(tri, n) == [str(Fraction(b) / tri.scale(n)), "0"]
 
 
 # a custom label needing JSON escapes: a quote, a backslash, a non-ASCII letter
@@ -870,6 +870,22 @@ def test_warm_triangle_forms_no_gcd(fmt, scaled, tmp_path, capsys, monkeypatch):
     assert counter.calls == 0
 
 
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_cold_miss_forms_each_gcd_once(fmt, tmp_path, capsys, monkeypatch):
+    # a miss renders the entry it has just saved, so the save and the render
+    # share one text per cell: --cache adds no gcd to a cold run
+    monkeypatch.delenv("LCLAB_CACHE", raising=False)
+    argv = ["triangle", "--g", "sigma", "--h", "id", "--n", "40", "--format", fmt]
+    counter = _GcdCounter(math.gcd)
+    monkeypatch.setattr(math, "gcd", counter)
+    assert main(argv) == 0
+    cold, cold_calls = capsys.readouterr(), counter.calls
+    counter.calls = 0
+    assert main(argv + ["--cache", str(tmp_path)]) == 0
+    assert capsys.readouterr() == cold
+    assert counter.calls == cold_calls >= 40 * 41 // 2 - 1
+
+
 def test_triangle_schema1_entry_is_rebuilt_once(tmp_path, capsys):
     # an entry as schema 1 wrote it: decimal strings, digest of the sorted body
     tri = build_triangle(arith.sigma(), "id", 5)
@@ -888,7 +904,7 @@ def test_triangle_schema1_entry_is_rebuilt_once(tmp_path, capsys):
     assert (code, out) == (0, cold)
     # one line of JSON with no newline, so not even a header
     warning = "lclab: warning: rebuilding, cache entry unusable"
-    assert err == f"{warning}: triangle-sigma-id.json: not a schema-4 cache entry\n"
+    assert err == f"{warning}: triangle-sigma-id.json: not a schema-5 cache entry\n"
     assert run(capsys, *argv, "--cache", str(cache_dir)) == (0, cold, "")
 
 
