@@ -24,25 +24,25 @@ formed, appends the trailer and renames the file into place atomically,
 so a crash mid-write never leaves a half-file behind.
 
 A load reads the file twice through one open file object, so an entry
-replaced between the two passes cannot swap its bytes.  Pass 1
-(_parse_entry) reads the header with a bounded readline, hashes every
-row line, checks only the rows it was asked for, and reads at most one
-trailer's length plus one byte, so trailing bytes fail the check.  Row
-lines are read in pieces of at most _CHUNK bytes, and their commas
-counted as they come: row n has max(n, 1) cells, so a line with more
-fails before it is held whole, and one with fewer fails at its end,
-whatever the checksum says.  Each requested row must match the cell
-grammar 0|-?[1-9][0-9]*(/[1-9][0-9]*)? whole (_ROW), so that once the
-render has begun it writes only digits, "-" and "/" inside a cell, and a
---scaled render parses every cell, with a denominator of at least 1.
-Any other file raises CacheError naming the first problem: not a
-schema-5 entry, another schema, another family, a malformed line or a
+replaced between the two passes cannot swap its bytes.  Both passes read
+a row line through one reader (_line), in pieces of at most _CHUNK
+bytes.  Pass 1 (_parse_entry) reads the header with a bounded readline,
+hashes every row line, checks only the rows it was asked for, and reads
+at most one trailer's length plus one byte, so trailing bytes fail the
+check.  It counts commas as they come: row n has max(n, 1) cells, so a
+line with more fails before it is held whole, and one with fewer fails
+at its end, whatever the checksum says.  Each requested row must match
+the cell grammar 0|-?[1-9][0-9]*(/[1-9][0-9]*)? whole (_ROW), so that
+once the render has begun it writes only digits, "-" and "/" inside a
+cell, and a --scaled render parses every cell, with a denominator of at
+least 1.  Any other file raises CacheError naming the first problem: not
+a schema-5 entry, another schema, another family, a malformed line or a
 checksum mismatch.  Pass 2 (CachedRows.rows) seeks back to the start and
-reads the requested rows again, in the same pieces, for the render, so a
-hit never holds the triangle.  No file is read whole, a damaged one
-included.  The checksum guards the bytes, and pass 1 what the render
-relies on; lowest terms is the writer's invariant, which
-tests/test_cache.py pins, and is not checked on a load.
+reads the requested rows again for the render, cut exactly as pass 1
+verified them, so a hit never holds the triangle.  No file is read
+whole, a damaged one included.  The checksum guards the bytes, and pass
+1 what the render relies on; lowest terms is the writer's invariant,
+which tests/test_cache.py pins, and is not checked on a load.
 
 Rows of the recursion do not depend on later rows, so the stored build
 serves every request up to its size, truncated.  A larger request finds
@@ -162,6 +162,15 @@ def scaled_cells(line: str, scale: int) -> list[str]:
     return cells
 
 
+def _line(fh: BinaryIO) -> Iterator[bytes]:
+    """The line at fh's position in pieces of at most _CHUNK bytes, the
+    last ending in the newline unless the file ends first."""
+    while piece := fh.readline(_CHUNK):
+        yield piece
+        if piece.endswith(b"\n"):
+            return
+
+
 class CachedRows:
     """Rows 0..n_max of a cache hit, verified by pass 1 and read again by
     rows() (pass 2) from the same open file.  It has the g, h, n_max and
@@ -185,11 +194,7 @@ class CachedRows:
         fh.seek(0)
         fh.readline(_HEADER_CAP)
         for n in range(self.n_max + 1):
-            pieces = []
-            while piece := fh.readline(_CHUNK).decode("ascii"):
-                pieces.append(piece)
-                if piece.endswith("\n"):
-                    break
+            pieces = [piece.decode("ascii") for piece in _line(fh)]
             pieces[-1] = pieces[-1][:-1]
             if scaled and self.h == "id":
                 cells = scaled_cells("".join(pieces), self.scale(n))
@@ -219,55 +224,45 @@ def _parse_entry(path: Path, g: ArithFn, h: str, n_max: int) -> CachedRows | Non
     with contextlib.ExitStack() as opened:
         try:
             fh = opened.enter_context(open(path, "rb"))
-            hit = _verify(fh, unusable, g, h, n_max)
+            line = fh.readline(_HEADER_CAP)
+            digest = hashlib.sha256(line)
+            try:  # an older entry is one line of JSON, too long or without a newline
+                head = json.loads(line) if line.endswith(b"\n") else None
+            except (ValueError, RecursionError):
+                head = None
+            if not isinstance(head, dict):
+                raise unusable(f"not a schema-{SCHEMA_VERSION} cache entry")
+            if head.get("schema") != SCHEMA_VERSION:
+                raise unusable(f"schema {head.get('schema')!r}, expected {SCHEMA_VERSION}")
+            stored = head.get("n_max")
+            if head.get("kind") != "triangle" or type(stored) is not int:
+                raise unusable("malformed entry")
+            if (head.get("g"), head.get("h")) != (g.key, h):
+                raise unusable(f"cached family ({head.get('g')!r}, {head.get('h')!r}), "
+                               f"expected ({g.key!r}, {h!r})")
+            for n in range(stored + 1):
+                keep = stored >= n_max and n <= n_max
+                commas, parts, chunk = max(n, 1) - 1, [], b""  # row n has max(n, 1) cells
+                for chunk in _line(fh):
+                    digest.update(chunk)
+                    commas -= chunk.count(b",")
+                    if commas < 0:
+                        raise unusable("malformed entry")
+                    if keep:
+                        parts.append(chunk)
+                if commas or not chunk.endswith(b"\n"):
+                    raise unusable("malformed entry")
+                if keep and not _ROW.fullmatch(line := b"".join(parts), 0, len(line) - 1):
+                    raise unusable("malformed entry")
+            trailer = b"sha256 %s\n" % digest.hexdigest().encode()
+            if fh.read(len(trailer) + 1) != trailer:
+                raise unusable("checksum mismatch")
         except OSError as exc:
             raise unusable(f"unreadable ({exc})") from exc
-        if not hit:
+        if stored < n_max:
             return None
         opened.pop_all()  # pass 2 reads on from the same open file
     return CachedRows(g, h, n_max, fh)
-
-
-def _verify(fh: BinaryIO, unusable, g: ArithFn, h: str, n_max: int) -> bool:
-    """Pass 1 of _parse_entry over the open file fh: whether the entry
-    holds rows 0..n_max.  Raises unusable(problem) on the first problem."""
-    line = fh.readline(_HEADER_CAP)
-    digest = hashlib.sha256(line)
-    try:  # an older entry is one line of JSON, too long or without a newline
-        head = json.loads(line) if line.endswith(b"\n") else None
-    except (ValueError, RecursionError):
-        head = None
-    if not isinstance(head, dict):
-        raise unusable(f"not a schema-{SCHEMA_VERSION} cache entry")
-    if head.get("schema") != SCHEMA_VERSION:
-        raise unusable(f"schema {head.get('schema')!r}, expected {SCHEMA_VERSION}")
-    stored = head.get("n_max")
-    if head.get("kind") != "triangle" or type(stored) is not int:
-        raise unusable("malformed entry")
-    if (head.get("g"), head.get("h")) != (g.key, h):
-        raise unusable(
-            f"cached family ({head.get('g')!r}, {head.get('h')!r}), expected ({g.key!r}, {h!r})"
-        )
-    for n in range(stored + 1):
-        keep = stored >= n_max and n <= n_max
-        commas, parts = max(n, 1) - 1, []  # row n has max(n, 1) cells
-        while chunk := fh.readline(_CHUNK):
-            digest.update(chunk)
-            commas -= chunk.count(b",")
-            if commas < 0:
-                raise unusable("malformed entry")
-            if keep:
-                parts.append(chunk)
-            if chunk.endswith(b"\n"):
-                break
-        if commas or not chunk.endswith(b"\n"):
-            raise unusable("malformed entry")
-        if keep and not _ROW.fullmatch(line := b"".join(parts), 0, len(line) - 1):
-            raise unusable("malformed entry")
-    trailer = b"sha256 %s\n" % digest.hexdigest().encode()
-    if fh.read(len(trailer) + 1) != trailer:
-        raise unusable("checksum mismatch")
-    return stored >= n_max
 
 
 def load_triangle(directory, g: ArithFn, h: str, n_max: int) -> CachedRows | None:

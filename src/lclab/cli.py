@@ -195,9 +195,11 @@ def cmd_triangle(args) -> int:
         tri = build_triangle(g, args.h, args.n)
         if cache_dir:
             # a miss, a smaller build or a corrupt entry: the rebuild replaces
-            # it, and the render reads it back, so each cell's text is formed once
+            # it, and an unscaled render reads it back, so each cell's text is
+            # formed once; a --scaled render prints the built entries
             try:
-                hit = reopen(save_triangle(cache_dir, tri), tri)
+                saved = save_triangle(cache_dir, tri)
+                hit = None if args.scaled else reopen(saved, tri)
             except OSError as exc:  # the output does not depend on the cache
                 print(f"lclab: warning: cache not written: {exc}", file=sys.stderr)
     with contextlib.nullcontext() if hit is None else hit, _sink(args.out) as fh:

@@ -175,7 +175,7 @@ class Triangle:
     scaled()/row_scaled()/column() the raw stored entries.
     """
 
-    m_max = None  # for the build hook of perfbench/layers.py only (ROADMAP item 5b)
+    m_max = None  # for the build hook of perfbench/layers.py only (ROADMAP item 8b)
 
     def __init__(self, g: ArithFn, h: str, rows: list[list]):
         _check_family(h, len(rows) - 1)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lclab import arith, cli
-from lclab.cache import entry_name, row_text
+from lclab.cache import entry_name, row_text, scaled_cells
 from lclab.cli import ingest_custom_g, main, parse_g, parse_rational, parse_xs
 from lclab.triangles import Triangle, build_triangle, closed_form_oracle
 from test_golden import GOLDEN, TABLES
@@ -872,8 +872,8 @@ def test_warm_triangle_forms_no_gcd(fmt, scaled, tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 def test_cold_miss_forms_each_gcd_once(fmt, tmp_path, capsys, monkeypatch):
-    # a miss renders the entry it has just saved, so the save and the render
-    # share one text per cell: --cache adds no gcd to a cold run
+    # an unscaled miss renders the entry it has just saved, so the save and
+    # the render share one text per cell: --cache adds no gcd to a cold run
     monkeypatch.delenv("LCLAB_CACHE", raising=False)
     argv = ["triangle", "--g", "sigma", "--h", "id", "--n", "40", "--format", fmt]
     counter = _GcdCounter(math.gcd)
@@ -884,6 +884,51 @@ def test_cold_miss_forms_each_gcd_once(fmt, tmp_path, capsys, monkeypatch):
     assert main(argv + ["--cache", str(tmp_path)]) == 0
     assert capsys.readouterr() == cold
     assert counter.calls == cold_calls >= 40 * 41 // 2 - 1
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_scaled_miss_decodes_nothing(fmt, tmp_path, capsys, monkeypatch):
+    # a --scaled miss prints the triangle it has just built, not its saved
+    # entry read back; the hit that follows, counted the same way, shows
+    # that the count sees the decode of each row
+    monkeypatch.delenv("LCLAB_CACHE", raising=False)
+    argv = ["triangle", "--g", "sigma", "--h", "id", "--n", "40", "--format", fmt, "--scaled",
+            "--cache", str(tmp_path)]
+    calls = []
+
+    def counted(line, scale):
+        calls.append(scale)
+        return scaled_cells(line, scale)
+
+    monkeypatch.setattr("lclab.cache.scaled_cells", counted)
+    assert main(argv) == 0
+    miss = capsys.readouterr()
+    assert (miss.err, calls) == ("", [])
+    assert main(argv) == 0
+    assert capsys.readouterr() == miss
+    assert len(calls) >= 41
+
+
+@pytest.mark.parametrize("replacement", ["garbage", "smaller"])
+def test_miss_renders_the_build_when_its_entry_is_replaced(replacement, tmp_path, capsys,
+                                                          monkeypatch):
+    # another writer replaces the entry between the save and the read-back:
+    # reopen finds nothing it can serve, and the render falls back to the build
+    monkeypatch.delenv("LCLAB_CACHE", raising=False)
+    save = cli.save_triangle
+
+    def save_then_replace(directory, tri):
+        path = save(directory, tri)
+        if replacement == "garbage":
+            path.write_text("{not json")
+        else:
+            save(directory, build_triangle(tri.g, tri.h, tri.n_max // 2))
+        return path
+
+    monkeypatch.setattr(cli, "save_triangle", save_then_replace)
+    argv = ["triangle", "--g", "sigma", "--h", "id", "--n", "40", "--format", "json"]
+    _, cold, _ = run(capsys, *argv)
+    assert run(capsys, *argv, "--cache", str(tmp_path)) == (0, cold, "")
 
 
 def test_triangle_schema1_entry_is_rebuilt_once(tmp_path, capsys):
