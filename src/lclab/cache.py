@@ -200,7 +200,7 @@ class CachedRows:
                 cells = scaled_cells("".join(pieces), self.scale(n))
                 yield [piece for cell in cells for piece in (sep, cell)][1:]
             else:
-                yield pieces if sep == "," else [piece.replace(",", sep) for piece in pieces]
+                yield [piece.replace(",", sep) for piece in pieces]
 
     def close(self) -> None:
         self._fh.close()

@@ -17,10 +17,10 @@ column inequality A(n, m)^2 >= A(n-1, m) A(n+1, m) is equivalent to
 
     L_(n-1) L_(n+1) B_n^2 >= L_n^2 B_(n-1) B_(n+1),
 
-so the kernel's `weighted` flag (entry n carries the scale n!, as in any
-h = id column) compares (n+1) B_n^2 against n B_(n-1) B_(n+1); unset
-(rows, and h = one columns) all entries share one scale and the plain
-squares are compared.  Each entry a scan reads is checked once: a
+so an h = id column, whose entry n carries the scale n!, passes _scan
+the weights (n+1, n): it compares (n+1) B_n^2 against n B_(n-1) B_(n+1).
+Rows, and h = one columns, share one scale and pass no weights, so the
+plain squares are compared.  Each entry a scan reads is checked once: a
 negative one raises a ValueError naming its (n, m), since log-concavity
 is not defined for them.
 
@@ -40,8 +40,8 @@ exactly.
 The Stirling column scans behind Table 1 are column scans of the (one, id)
 triangle, whose stored column m is S(n, m) = n! A(n, m); iter_columns
 fills it by the Stirling rule, so it needs no table of its own.  Sibuya's
-strict row inequality is the plain comparison on the row m! S(n, m), so
-sibuya_strict_check runs through _scan too.
+strict row inequality is the Stirling row under its tilt, the weights
+(m, m+1), so sibuya_strict_check runs through _scan too.
 
 The conjecture-style scan over the divisor-sum coefficients b_(m, n) of
 f(q)^m, with f the weight-normalized divisor-sum series, runs on the
@@ -109,36 +109,32 @@ def _nonnegative(line: list, at) -> list:
     return line
 
 
-def _scan(left, center, right, at, weighted: bool = False):
+def _scan(left, center, right, at, weights=None):
     """The one log-concavity comparison behind every scan: over three aligned
     lines of nonnegative entries, yields (at(i), failed) at each position
-    i = 1, 2, ... where center^2 < left * right (failed) or the two sides
-    are equal between nonzero neighbors (not failed).  With weighted set,
-    the center at position i carries the scale i! and its neighbors
-    (i-1)! and (i+1)!, so (i+1) center^2 is compared with i left * right.
+    i = 1, 2, ... where wl center^2 < wr left * right (failed) or the two
+    sides are equal between nonzero neighbors (not failed).  weights(i)
+    gives the ints (wl, wr) at position i, both positive: the scan that
+    owns the inequality states it there.  Without weights wl = wr = 1.
 
     An all-int triple whose center has more than 64 bits is first screened
     on heads: with k = bits(c) - 64 and x' = x >> k, x' 2^k <= x <
-    (x'+1) 2^k for each entry, so with weights (wl, wr) wl c'^2 >=
-    wr (a'+1)(b'+1) makes wl c^2 > wr a b, a strict pass, and
-    wl (c'+1)^2 <= wr a' b' makes wl c^2 < wr a b, a failure.  Neither
-    decides an equality, so only the centers between the two bounds pay
-    for the exact products.  Fractions, and mixed triples, are compared
-    exactly."""
+    (x'+1) 2^k for each entry, so wl c'^2 >= wr (a'+1)(b'+1) makes
+    wl c^2 > wr a b, a strict pass, and wl (c'+1)^2 <= wr a' b' makes
+    wl c^2 < wr a b, a failure; that bound is strict only for wl >= 1,
+    which is why the weights must be positive.  Neither decides an
+    equality, so only the centers between the two bounds pay for the
+    exact products.  Fractions, and mixed triples, are compared exactly."""
     for i, (a, c, b) in enumerate(zip(left, center, right), 1):
+        wl, wr = weights(i) if weights else (1, 1)
         if type(c) is int and (k := c.bit_length() - 64) > 0 and type(a) is type(b) is int:
-            wl, wr = (i + 1, i) if weighted else (1, 1)
             hc, ha, hb = c >> k, a >> k, b >> k
             if wl * hc * hc >= wr * (ha + 1) * (hb + 1):
                 continue
             if wl * (hc + 1) ** 2 <= wr * ha * hb:
                 yield at(i), True
                 continue
-        lhs = c * c
-        rhs = a * b
-        if weighted:
-            lhs *= i + 1
-            rhs *= i
+        lhs, rhs = wl * c * c, wr * a * b
         if lhs < rhs:
             yield at(i), True
         elif lhs == rhs and a and b:
@@ -170,9 +166,11 @@ class _ColumnStream:
 
 def _column(tri, m: int, top: int):
     """_scan over column m of tri (a Triangle or a _ColumnStream) at centers
-    1..top, or to n_max - 1 where the column ends; row n has scale n! if h = id."""
+    1..top, or to n_max - 1 where the column ends; if h = id, row n has the
+    scale n!, whose ratio weighs center n by (n+1, n)."""
     col = _nonnegative(tri.column(m)[: max(top + 2, 0)], lambda n: (n, m))
-    return _scan(col, col[1:], col[2:], lambda n: (n, m), weighted=tri.h == "id")
+    weights = (lambda n: (n + 1, n)) if tri.h == "id" else None
+    return _scan(col, col[1:], col[2:], lambda n: (n, m), weights)
 
 
 def _collect(report: ConcavityReport, hits, edge: int | None = None) -> None:
@@ -376,12 +374,13 @@ def stirling_column_failures(m: int, n_to: int) -> list[int]:
 def sibuya_strict_check(n: int) -> bool:
     """Strict row log-concavity of the Stirling numbers with the tilt m/(m+1).
 
-    Checks m S(n, m)^2 > (m+1) S(n, m+1) S(n, m-1) for 2 <= m <= n-1, which
-    on T_m = m! S(n, m) is T_m^2 > T_(m-1) T_(m+1): any _scan hit there, a
-    failure or an equality, makes it false.  Vacuously true below n = 3.
+    Checks m S(n, m)^2 > (m+1) S(n, m+1) S(n, m-1) for 2 <= m <= n-1, the
+    row scanned under the weights (m, m+1): any _scan hit there, a failure
+    or an equality, makes it false.  Vacuously true below n = 3.
     """
-    row = _nonnegative([factorial(m) * s for m, s in enumerate(stirling_row(n))], lambda m: (n, m))
-    return next(_scan(row[1:], row[2:], row[3:], lambda i: (n, i + 1)), None) is None
+    row = _nonnegative(stirling_row(n), lambda m: (n, m))
+    hits = _scan(row[1:], row[2:], row[3:], lambda i: (n, i + 1), lambda i: (i + 1, i + 2))
+    return next(hits, None) is None
 
 
 def hong_zhang_coefficients(m: int, n_max: int) -> list[Fraction]:

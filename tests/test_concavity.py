@@ -666,15 +666,16 @@ def test_scans_reject_negative_entries():
         is_logconcave([1, -2, 1])
 
 
-def exact_scan(left, center, right, at, weighted=False):
+def exact_scan(left, center, right, at, weights=None):
     """_scan without its head screen: every center is compared on the exact
     products.  The reference the screened kernel is held to."""
     for i, (a, c, b) in enumerate(zip(left, center, right), 1):
         lhs = c * c
         rhs = a * b
-        if weighted:
-            lhs *= i + 1
-            rhs *= i
+        if weights:
+            wl, wr = weights(i)
+            lhs *= wl
+            rhs *= wr
         if lhs < rhs:
             yield at(i), True
         elif lhs == rhs and a and b:
@@ -700,14 +701,19 @@ def _sized(bits):
 wide = _sized(st.one_of(st.sampled_from([0, 1, 63, 64, 65, 128, 1000]), st.integers(0, 1100)))
 
 
+# weights from 1 up to Newton-sized products (m-1)(n-m) of about 10^6
+weight = st.one_of(st.integers(1, 3), st.integers(1, 10**6))
+
+
 @st.composite
 def screen_triples(draw):
-    """(a, c, b, i, weighted): independent entries; c = isqrt(wr a b / wl) + d;
+    """(a, c, b, i, w): independent entries; c = isqrt(wr a b / wl) + d;
     or an exact equality wl c^2 = wr a b, moved by d.  Small d gives the
-    near-equal centers, where only the exact comparison can decide."""
+    near-equal centers, where only the exact comparison can decide.  w is
+    None, the plain comparison, or the positive weights (wl, wr)."""
     i = draw(st.one_of(st.integers(1, 3), st.integers(1, 1000)))
-    weighted = draw(st.booleans())
-    wl, wr = (i + 1, i) if weighted else (1, 1)
+    w = draw(st.one_of(st.none(), st.tuples(weight, weight)))
+    wl, wr = w or (1, 1)
     kind = draw(st.sampled_from(["free", "isqrt", "equal"]))
     d = draw(st.integers(-3, 3))
     if kind == "free":
@@ -718,13 +724,15 @@ def screen_triples(draw):
     else:
         x, y, z = (draw(_sized(st.integers(0, 400))) for _ in range(3))
         a, b, c = x * wl * y * y, x * wr * z * z, max(x * wr * y * z + d, 0)
-    return a, c, b, i, weighted
+    return a, c, b, i, w
 
 
-def _hits_at(kernel, a, c, b, i, weighted):
-    """kernel's hits with the triple at position i; the zeros before it give none."""
+def _hits_at(kernel, a, c, b, i, w):
+    """kernel's hits with the triple at position i, weighed by w there; the
+    zeros before it give none, under any weights."""
     pad = [0] * (i - 1)
-    return list(kernel(pad + [a], pad + [c], pad + [b], lambda n: n, weighted))
+    weights = w and (lambda n: w if n == i else (n, 3 * n))
+    return list(kernel(pad + [a], pad + [c], pad + [b], lambda n: n, weights))
 
 
 _HEAD = 2**64
@@ -734,26 +742,28 @@ _HEAD = 2**64
 @given(screen_triples(), st.sampled_from(["int", "fraction", "mixed"]))
 # equal and one below equal, past 64 bits: a screen that passes ties, or
 # drops a +1, decides them
-@example((_HEAD**3, _HEAD**3, _HEAD**3, 1, False), "int")
-@example((_HEAD**3 + 1, _HEAD**3, _HEAD**3 + 1, 1, False), "int")
-@example((_HEAD**3 + 1, _HEAD**3, _HEAD**3, 1, False), "int")
-@example((_HEAD**3, _HEAD**3, _HEAD**3 + 1, 1, False), "int")
-@example((3, 2**600, 2**1200 // 3 + 1, 1, False), "int")  # a' = 0: only b'+1 bounds b
-@example((2**1200 // 3 + 1, 2**600, 3, 1, False), "int")  # b' = 0: only a'+1 bounds a
-# the weighted tie 2 c^2 = a b at i = 1: the screen's weights, swapped,
-# call it a failure
-@example((2 * _HEAD**3, _HEAD**3, _HEAD**3, 1, True), "int")
-@example((0, _HEAD**3, _HEAD**3, 5, True), "int")  # a zero neighbor: a pass, not a tie
-@example((_HEAD**3, _HEAD**3, _HEAD**3, 1, False), "fraction")
-@example((_HEAD**3, _HEAD**3, _HEAD**3, 1, False), "mixed")
+@example((_HEAD**3, _HEAD**3, _HEAD**3, 1, None), "int")
+@example((_HEAD**3 + 1, _HEAD**3, _HEAD**3 + 1, 1, None), "int")
+@example((_HEAD**3 + 1, _HEAD**3, _HEAD**3, 1, None), "int")
+@example((_HEAD**3, _HEAD**3, _HEAD**3 + 1, 1, None), "int")
+@example((3, 2**600, 2**1200 // 3 + 1, 1, None), "int")  # a' = 0: only b'+1 bounds b
+@example((2**1200 // 3 + 1, 2**600, 3, 1, None), "int")  # b' = 0: only a'+1 bounds a
+# the tie 2 c^2 = a b under the column weights (2, 1) at i = 1: the
+# screen's weights, swapped, call it a failure
+@example((2 * _HEAD**3, _HEAD**3, _HEAD**3, 1, (2, 1)), "int")
+# a Newton tie at n = 10, m = 4: 3*6 c^2 = 4*7 a b
+@example((9 * _HEAD**3, 14 * _HEAD**3, 14 * _HEAD**3, 3, (18, 28)), "int")
+@example((0, _HEAD**3, _HEAD**3, 5, (6, 5)), "int")  # a zero neighbor: a pass, not a tie
+@example((_HEAD**3, _HEAD**3, _HEAD**3, 1, None), "fraction")
+@example((_HEAD**3, _HEAD**3, _HEAD**3, 1, None), "mixed")
 def test_screened_kernel_matches_the_exact_comparison(triple, entries):
-    a, c, b, i, weighted = triple
+    a, c, b, i, w = triple
     if entries == "fraction":  # one denominator: the verdict is the integers'
         a, c, b = (Fraction(x, 3) for x in (a, c, b))
     elif entries == "mixed":  # an int center, a Fraction neighbor
         a = Fraction(a)
-    screened = _hits_at(concavity._scan, a, c, b, i, weighted)
-    assert screened == _hits_at(exact_scan, a, c, b, i, weighted)
+    screened = _hits_at(concavity._scan, a, c, b, i, w)
+    assert screened == _hits_at(exact_scan, a, c, b, i, w)
 
 
 def test_fraction_and_mixed_lines_are_compared_exactly():
@@ -766,9 +776,9 @@ def test_fraction_and_mixed_lines_are_compared_exactly():
     mixed = [ints[0], Fraction(ints[1]), ints[2], Fraction(ints[3]), ints[4] + 1]
     for line in (fracs, raised, mixed):
         vals = [0, *line, 0]
-        for weighted in (False, True):
-            hits = list(concavity._scan(vals, vals[1:], vals[2:], lambda i: i - 1, weighted))
-            assert hits == list(exact_scan(vals, vals[1:], vals[2:], lambda i: i - 1, weighted))
+        for weights in (None, lambda i: (i + 1, i)):
+            hits = list(concavity._scan(vals, vals[1:], vals[2:], lambda i: i - 1, weights))
+            assert hits == list(exact_scan(vals, vals[1:], vals[2:], lambda i: i - 1, weights))
     assert is_logconcave(fracs) is None
     assert is_logconcave(raised) == 3
     assert is_logconcave(mixed) == 3
@@ -786,3 +796,36 @@ def test_triangle_scans_match_the_unscreened_kernel(h):
 def test_streamed_scans_match_the_unscreened_kernel(scan, args):
     screened, exact = screened_and_exact(scan, *args)
     assert screened == exact
+
+
+def newton_hits(tri):
+    """Newton's inequalities on the rows of tri, through _scan: row n is
+    P_n(x)/x, of degree n-1, so (m-1)(n-m) A(n, m)^2 >= m(n-m+1) A(n, m-1)
+    A(n, m+1) at centers m = 2..n-1 holds when P_n is real-rooted.  Returns
+    the failing centers and the equal ones, as (n, m)."""
+    failures, equalities = [], []
+    for n in range(3, tri.n_max + 1):
+        row = tri.row_scaled(n)  # m = 1..n; one scale within a row
+        hits = concavity._scan(
+            row, row[1:], row[2:], lambda i: (n, i + 1),
+            lambda i: (i * (n - i - 1), (i + 1) * (n - i)),  # center m = i + 1
+        )
+        for cell, failed in hits:
+            (failures if failed else equalities).append(cell)
+    return failures, equalities
+
+
+def test_newton_inequalities_on_real_rooted_and_darcais_rows():
+    # Pochhammer x(x+1)...(x+n-1), x(1+x)^(n-1) and Laguerre rows are
+    # real-rooted, so Newton's inequalities hold; binomial rows meet each
+    # one with equality.  The D'Arcais rows P_120 and P_180 fail at m = 2,
+    # which shows they have non-real roots.
+    for g, h in ((arith.one(), "id"), (arith.one(), "one"), (arith.identity(), "id")):
+        screened, exact = screened_and_exact(newton_hits, build_triangle(g, h, 100))
+        assert screened == exact
+        # equal sides need all roots of P_n(x)/x equal: (1+x)^(n-1), 4,851 centers
+        binomial = [(n, m) for n in range(3, 101) for m in range(2, n)] if h == "one" else []
+        assert screened == ([], binomial)
+    screened, exact = screened_and_exact(newton_hits, build_triangle(arith.sigma(), "id", 200))
+    assert screened == exact
+    assert screened[0] == [(120, 2), (180, 2)]
