@@ -50,7 +50,9 @@ which is row n+t's sum over the block.  Since _LANES divides _BLOCK and
 the groups start at m-1, no group straddles a block edge, so the rows of
 a group share their blocks, and each lane runs its own Horner step
 acc * P + c(t) and its own division by W.  _next_column picks K so that
-the lanes can be read back exactly.  Every product is still small-by-big,
+every |c(t)| < 2^(K-1) and adds 2^(K-1) to every lane of the sum, so each
+lane holds the digit c(t) + 2^(K-1) in [0, 2^K) and is read back on its
+own: bits tK .. tK+K-1, less 2^(K-1).  Every product is still small-by-big,
 a value of g times a packed entry, so the limb work is that of _LANES
 separate sums, but the count of bigint operations, each of which
 allocates an int, falls by a factor of _LANES.  When every value of g is
@@ -300,12 +302,12 @@ def _next_column(prev: list, gvals: list, weighted: bool, ones: bool, m: int) ->
     k = 1..n_max and x the packed run, one block's qb.  Lane t holds
     c(t) = sum of g(n+t-j) x(j), one term per j, so the k = n+t-j are
     distinct, and |c(t)| <= G max |x| < 2^(K-1); past n_max the table
-    reads as zero, so lanes of rows past the last obey the same bound.  A
-    sum V = sum of c(t) 2^(tK) with every |c(t)| < 2^(K-1) gives its lanes
-    back low lane first: V = c(0) mod 2^K, and c(0) is the one residue in
-    [-2^(K-1), 2^(K-1)), so it is the low K bits less 2^K when those are
-    >= 2^(K-1); then (V - c(0)) / 2^K is the sum over the lanes t >= 1, one
-    lane down (_unpack).  The bound holds for any sign of g and of the
+    reads as zero, so lanes of rows past the last obey the same bound.  The
+    group's sum starts at the bias, 2^(K-1) in every lane, so it is
+    V = sum of (c(t) + 2^(K-1)) 2^(tK), and the bound puts every digit
+    c(t) + 2^(K-1) in [0, 2^K): V is a plain base-2^K number, no lane
+    carries into or borrows from the next, and c(t) is bits tK .. tK+K-1
+    of V less 2^(K-1).  The bound holds for any sign of g and of the
     entries, so negative tables and the D g table of the content path need
     nothing more."""
     n_max = len(prev) - 1
@@ -326,10 +328,15 @@ def _next_column(prev: list, gvals: list, weighted: bool, ones: bool, m: int) ->
                 p *= j or 1  # h(0) weighs no entry; 1 keeps W(0) nonzero at m = 1
                 ws.append(p)
         packed, width = _pack(qb, gsum)
+        mask, half = (1 << width) - 1, 1 << (width - 1)
+        shifts = range(0, _LANES * width, width)
+        bias = sum(half << t for t in shifts)  # half in every lane
         for n in range(s, n_max + 1, _LANES):  # no group straddles a block edge
             lo = n_max - n + s + 1  # packed[i] is X(s-_LANES+1+i), so it takes rg[lo + i]
-            lanes = _unpack(sum(map(mul, rg[lo : lo + len(packed)], packed)), width)
-            col[n : n + _LANES] = [acc * p + c for acc, c in zip(col[n : n + _LANES], lanes)]
+            v = sum(map(mul, rg[lo : lo + len(packed)], packed), bias)
+            col[n : n + _LANES] = [
+                acc * p + ((v >> t & mask) - half) for acc, t in zip(col[n : n + _LANES], shifts)
+            ]
         if weighted:  # B(r, m) = acc / W(r), exactly
             col[s:e] = [acc // w for acc, w in zip(col[s:e], reversed(ws))]
     return col
@@ -345,22 +352,6 @@ def _pack(run: list, gsum: int) -> tuple[list, int]:
     w2, w3 = 2 * width, 3 * width
     views = zip(ext, ext[1:], ext[2:], ext[3:])
     return [a + (b << width) + (c << w2) + (d << w3) for a, b, c, d in views], width
-
-
-def _unpack(v: int, width: int) -> list:
-    """The _LANES signed lanes of v, each in [-2^(width-1), 2^(width-1)),
-    low lane first."""
-    mask, half = (1 << width) - 1, 1 << (width - 1)
-    lanes = []
-    for _ in range(_LANES - 1):
-        c = v & mask
-        v >>= width
-        if c >= half:  # a negative lane borrowed one from the lane above
-            c -= mask + 1
-            v += 1
-        lanes.append(c)
-    lanes.append(v)
-    return lanes
 
 
 def build_triangle(g: ArithFn, h: str, n_max: int) -> Triangle:

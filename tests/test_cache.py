@@ -425,7 +425,7 @@ def test_row_cell_count_checked_under_a_valid_checksum(n, tmp_path):
     assert loaded(tmp_path, arith.sigma(), "id", 10).row_scaled(5)[-1] == 1
 
 
-@pytest.mark.parametrize("cell", [b"xyz", b"1/0"], ids=["non-hex", "zero-denominator"])
+@pytest.mark.parametrize("cell", [b"xyz", b"1/0"], ids=["non-decimal", "zero-denominator"])
 def test_undecodable_cell_under_a_valid_checksum(cell, tmp_path):
     data = save_triangle(tmp_path, build_triangle(arith.sigma(), "id", 6)).read_bytes()
     path = tmp_path / entry_name("sigma", "id")

@@ -346,8 +346,7 @@ def test_warm_triangle_holds_no_triangle():
 def test_triangle_holds_one_row_of_text(run_kind, tmp_path, monkeypatch):
     # the render, the cache write and the cache read stream one row at a
     # time: beyond the triangle itself, a run holds well under the text it
-    # writes, so no whole copy of that text, of the cache file or of its
-    # hex strings
+    # writes, so no whole copy of that text or of the cache file
     parser = cli.build_parser()  # built once, so its own allocations stay out
     monkeypatch.setattr(cli, "build_parser", lambda: parser)
     monkeypatch.delenv("LCLAB_CACHE", raising=False)
@@ -853,9 +852,10 @@ class _GcdCounter:
 @pytest.mark.parametrize("scaled", [(), ("--scaled",)], ids=["values", "scaled"])
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 def test_warm_triangle_forms_no_gcd(fmt, scaled, tmp_path, capsys, monkeypatch):
-    # a hit reads each value factored by its gcd with n!, so it prints the
-    # lowest terms with no gcd at all; the cold run, counted the same way,
-    # shows that the count sees the render's gcds
+    # a hit copies each value's lowest-terms text from its entry, and a
+    # --scaled hit multiplies it by n!, which its denominator divides here,
+    # so neither forms a gcd; the cold run, counted the same way, shows
+    # that the count sees the render's gcds
     monkeypatch.delenv("LCLAB_CACHE", raising=False)
     argv = ["triangle", "--g", "sigma", "--h", "id", "--n", "40", "--format", fmt, *scaled,
             "--cache", str(tmp_path)]

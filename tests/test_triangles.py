@@ -241,10 +241,20 @@ def test_block_kernel_matches_plain_horner(case, h):
 L = triangles._LANES
 
 
+def width_edge_table(n_max, k, p, sign):
+    """g(1) = 1, g(p) = sign (2^k - 2) and zeros elsewhere, for n_max rows.
+    Then G = 2^k - 1, and for h = one column 1 packs the seed column, so
+    K = k + 1 and its lane sums are the g(n+t): g(p) comes within 2 of
+    -2^(K-1) or of 2^(K-1), in whichever lane holds row p, which is each
+    lane for some p in 2..5."""
+    return [1] + [sign * (2**k - 2) if j == p else 0 for j in range(2, n_max + 1)]
+
+
 def lane_table(n_max):
     """Tables for n_max rows with values up to 10^12 in size and of both
-    signs, so that lane sums are large and negative ones borrow from the
-    lane above; the same as Fractions (the content path)."""
+    signs, so that lane sums are large and reach both signs; the same as
+    Fractions (the content path); and width-edge tables, whose lane sums
+    come within 2 of the bound the lane width is chosen for."""
     big = st.one_of(
         st.integers(min_value=-10**12, max_value=10**12),
         st.sampled_from([10**12, -10**12, 0, -1]),
@@ -254,6 +264,10 @@ def lane_table(n_max):
         st.lists(big, **size).map(lambda rest: [1] + rest),
         st.lists(st.one_of(big, st.just(Fraction(-10**12, 7))), **size).map(
             lambda rest: [Fraction(1)] + rest
+        ),
+        st.builds(
+            width_edge_table, st.just(n_max), st.integers(2, 80), st.integers(2, 5),
+            st.sampled_from([1, -1]),
         ),
     )
 
@@ -266,6 +280,10 @@ def lane_table(n_max):
 @example((2 * K + 2, [1] + [(-1) ** k * 10**12 + k for k in range(2, 2 * K + 3)]), "id")
 @example((2 * K + 1, [1] + [(-1) ** k * 10**12 + k for k in range(2, 2 * K + 2)]), "one")
 @example((3, [1, -10**12, 10**12]), "one")
+@example((2 * L - 1, width_edge_table(2 * L - 1, 80, 5, -1)), "one")
+@example((2 * L - 2, width_edge_table(2 * L - 2, 3, 4, -1)), "id")
+@example((2 * K, width_edge_table(2 * K, 61, 2, 1)), "id")
+@example((2 * K + 1, width_edge_table(2 * K + 1, 2, 3, 1)), "one")
 def test_lane_kernel_matches_plain_horner(case, h):
     n_max, values = case
     assert list(iter_columns(arith.from_table(values), h, n_max)) == horner_columns(values, h, n_max)
