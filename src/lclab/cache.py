@@ -16,8 +16,7 @@ separated, as the render prints them: decimal, in lowest terms, "0" for
 a zero.  row_text is the one place a value's text is formed, for the
 save and the cold render alike, so an unscaled hit copies each row line,
 with "," swapped for the format's separator: no decode, division or
-str().  The (sigma, id) entry at n = 300 is 22,974,117 bytes, against
-9,858,009 for the factored hex cells of schema 4.
+str().  The (sigma, id) entry at n = 300 is 22,974,117 bytes.
 
 A save writes each line into a temp file and the digest as the row is
 formed, appends the trailer and renames the file into place atomically,
@@ -117,7 +116,7 @@ def row_text(tri: Triangle, n: int) -> list[str]:
         cells = []
         for b in tri.row_scaled(n):
             num = b.numerator
-            d = math.gcd(num, scale) if num else scale
+            d = math.gcd(num, scale)
             den = scale // d * b.denominator
             cells.append(str(num // d) if den == 1 else f"{num // d}/{den}")
         return cells

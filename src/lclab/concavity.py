@@ -20,9 +20,9 @@ column inequality A(n, m)^2 >= A(n-1, m) A(n+1, m) is equivalent to
 so an h = id column, whose entry n carries the scale n!, passes _scan
 the weights (n+1, n): it compares (n+1) B_n^2 against n B_(n-1) B_(n+1).
 Rows, and h = one columns, share one scale and pass no weights, so the
-plain squares are compared.  Each entry a scan reads is checked once: a
-negative one raises a ValueError naming its (n, m), since log-concavity
-is not defined for them.
+plain squares are compared.  Each entry a scan reads is checked once: one
+that is negative, or not an int or a Fraction (the types _scan compares
+exactly), raises a ValueError naming its (n, m).
 
 The kernel screens before it multiplies.  When the center and both
 neighbors are ints and the center has more than 64 bits, all three are
@@ -99,9 +99,11 @@ class ConcavityReport:
         }
 
 
-def _nonnegative(line: list, at) -> list:
-    """line, once no entry is negative; at(i) names entry i in the error."""
+def _exact_entries(line: list, at) -> list:
+    """line, once every entry is a nonnegative int or Fraction; at(i) names entry i in errors."""
     for i, v in enumerate(line):
+        if type(v) is not int and not isinstance(v, (int, Fraction)):
+            raise ValueError(f"entry {at(i)} {v!r} is a {type(v).__name__}; give an int or a Fraction")
         if v < 0:
             raise ValueError(
                 f"log-concavity check needs nonnegative entries, but entry {at(i)} is negative"
@@ -111,9 +113,9 @@ def _nonnegative(line: list, at) -> list:
 
 def _scan(left, center, right, at, weights=None):
     """The one log-concavity comparison behind every scan: over three aligned
-    lines of nonnegative entries, yields (at(i), failed) at each position
-    i = 1, 2, ... where wl center^2 < wr left * right (failed) or the two
-    sides are equal between nonzero neighbors (not failed).  weights(i)
+    lines of nonnegative ints and Fractions, yields (at(i), failed) at each
+    position i = 1, 2, ... where wl center^2 < wr left * right (failed) or
+    the two sides are equal between nonzero neighbors (not failed).  weights(i)
     gives the ints (wl, wr) at position i, both positive: the scan that
     owns the inequality states it there.  Without weights wl = wr = 1.
 
@@ -168,7 +170,7 @@ def _column(tri, m: int, top: int):
     """_scan over column m of tri (a Triangle or a _ColumnStream) at centers
     1..top, or to n_max - 1 where the column ends; if h = id, row n has the
     scale n!, whose ratio weighs center n by (n+1, n)."""
-    col = _nonnegative(tri.column(m)[: max(top + 2, 0)], lambda n: (n, m))
+    col = _exact_entries(tri.column(m)[: max(top + 2, 0)], lambda n: (n, m))
     weights = (lambda n: (n + 1, n)) if tri.h == "id" else None
     return _scan(col, col[1:], col[2:], lambda n: (n, m), weights)
 
@@ -188,14 +190,11 @@ def _collect(report: ConcavityReport, hits, edge: int | None = None) -> None:
 def is_logconcave(seq) -> int | None:
     """First index where a_i^2 < a_(i-1) a_(i+1), or None if log-concave.
 
-    The sequence is zero-extended on both sides.  Negative entries make
-    the notion meaningless here, so they raise; so do floats, whose binary
-    values would give the verdict instead of the exact ones.
+    The sequence is zero-extended on both sides.  Entries must be
+    nonnegative ints or Fractions: a float or Decimal would give a rounded
+    verdict, and a negative entry makes the notion meaningless, so both raise.
     """
-    vals = _nonnegative([0, *seq, 0], lambda i: i - 1)
-    for i, v in enumerate(vals[1:-1]):
-        if isinstance(v, float):
-            raise ValueError(f"entry {i} {v!r} is a float; give an int or a Fraction")
+    vals = _exact_entries([0, *seq, 0], lambda i: i - 1)
     hits = _scan(vals, vals[1:], vals[2:], lambda i: i - 1)
     return next((i for i, failed in hits if failed), None)
 
@@ -214,7 +213,7 @@ def horizontal_check(tri: Triangle, n_from: int = 1, n_to: int | None = None) ->
     lo = max(n_from, 1)
 
     def column(c):
-        return _nonnegative(tri.column(c)[lo : n_to + 1], lambda i: (lo + i, c))
+        return _exact_entries(tri.column(c)[lo : n_to + 1], lambda i: (lo + i, c))
 
     # Each column is checked for negatives before the next is read.  For a
     # triangle the recursion builds, that finds the row-major-first negative
@@ -378,7 +377,7 @@ def sibuya_strict_check(n: int) -> bool:
     row scanned under the weights (m, m+1): any _scan hit there, a failure
     or an equality, makes it false.  Vacuously true below n = 3.
     """
-    row = _nonnegative(stirling_row(n), lambda m: (n, m))
+    row = _exact_entries(stirling_row(n), lambda m: (n, m))
     hits = _scan(row[1:], row[2:], row[3:], lambda i: (n, i + 1), lambda i: (i + 1, i + 2))
     return next(hits, None) is None
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import ArithFn, _fraction, _integers
+from .arith import ArithFn, _fraction, _integers, tilde
 
 
 class Series:
@@ -192,8 +192,7 @@ def _recurrence(p: list[int], divisors: list[int], scale: int) -> list[Fraction]
 
 def eichler_integral(fn: ArithFn, order: int) -> Series:
     """E(T) = sum of g(n)/n T^n for n = 1..order."""
-    vals = fn.values(order)
-    return Series([0] + [Fraction(vals[n], n) for n in range(1, order + 1)])
+    return Series.from_arith(tilde(fn), order)
 
 
 def euler_product(exponents, order: int) -> Series:

@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from lclab.concavity import (
 )
 from lclab.series import eichler_integral
 from lclab.stirling import delta
-from lclab.triangles import build_triangle
+from lclab.triangles import Triangle, build_triangle
 
 
 def test_is_logconcave_basics():
@@ -664,6 +665,24 @@ def test_scans_reject_negative_entries():
                 scan(tri)
     with pytest.raises(ValueError, match="entry 1 is negative"):
         is_logconcave([1, -2, 1])
+
+
+@pytest.mark.parametrize("bad", [0.5, Decimal("0.5")], ids=["float", "Decimal"])
+def test_scans_reject_inexact_entries(bad):
+    # _scan is exact only on ints and Fractions, so every scan refuses the rest
+    tri = Triangle(arith.one(), "one", [[1], [1], [2, 1], [3, bad, 1]])
+    scans = (
+        horizontal_check,
+        vertical_check,
+        lambda t: c_vertical_check(t, 2, 3, include_m1=True),
+        lambda t: first_vertical_failure(t, 2),
+    )
+    kind = type(bad).__name__
+    for scan in scans:
+        with pytest.raises(ValueError, match=rf"^entry \(3, 2\) .* is a {kind}; give an int"):
+            scan(tri)
+    with pytest.raises(ValueError, match=rf"^entry 1 .* is a {kind}; give an int"):
+        is_logconcave([1, bad, 1])
 
 
 def exact_scan(left, center, right, at, weights=None):
