@@ -74,9 +74,10 @@ class ArithFn:
         self._fill = fill
         self._limit = limit
         self._vals = fill(min(limit, 8) if limit is not None else 8)
-        if len(self._vals) < 2 or self._vals[1] != 1:
-            got = self._vals[1] if len(self._vals) > 1 else "nothing"
-            raise ValueError(f"{label!r} is not normalized: g(1) = {got}, expected 1")
+        if len(self._vals) < 2:
+            raise ValueError(f"{label!r} has no values, not even g(1)")
+        if self._vals[1] != 1:
+            raise ValueError(f"{label!r} is not normalized: g(1) = {self._vals[1]}, expected 1")
 
     def _ensure(self, n: int) -> None:
         if n < len(self._vals):
@@ -138,12 +139,13 @@ def sigma_k(power: int) -> ArithFn:
 def from_table(values, label: str = "custom", *, key: str | None = None) -> ArithFn:
     """Build a finite-table function from values [g(1), g(2), ...].
 
-    The table is the whole domain: asking past the end raises.  g(1) must
-    be 1, like every function here.
+    The one place a table's values are checked and made exact: each is an
+    int, a Fraction or a 'p/q' string (a float raises), stored as an int
+    where it is integral and as a Fraction elsewhere.  The table is the
+    whole domain: asking past the end raises, and an empty table raises
+    naming its label.  g(1) must be 1, as ArithFn checks for every function.
     """
-    vals = [0] + [v if isinstance(v, int) else _fraction(v, "table value") for v in values]
-    if len(vals) < 2:
-        raise ValueError("custom table needs at least g(1)")
+    vals = [0] + [_ratio(_fraction(v, "table value")) for v in values]
     return ArithFn(label, lambda L: vals[: L + 1], key=key, limit=len(vals) - 1)
 
 
@@ -173,11 +175,7 @@ def moebius_convolve(fn: ArithFn, limit: int) -> ArithFn:
             continue
         for n in range(d, limit + 1, d):
             f[n] += mu[d] * g[n // d]
-    return from_table(
-        [_ratio(v) for v in f[1:]],
-        label=f"mu*{fn.label}",
-        key=f"mu.{fn.key}",
-    )
+    return from_table(f[1:], label=f"mu*{fn.label}", key=f"mu.{fn.key}")
 
 
 def _fraction(v, what: str) -> Fraction:

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterator, TextIO
 
 from . import arith
-from .arith import ArithFn, from_table, _ratio
+from .arith import ArithFn, from_table
 from .cache import (
     ENV_VAR,
     CachedRows,
@@ -81,11 +81,12 @@ def parse_g(token: str) -> ArithFn:
 
 
 def ingest_custom_g(path: str) -> ArithFn:
-    """Read a finite table of values, one per line.
+    """Read a finite table of values, one per line, into from_table, which
+    owns the table rules (at least one value, g(1) = 1).
 
     The k-th value line is g(k).  Blank lines and '#' comments (whole-line
-    or trailing) are skipped.  Values are integers or p/q fractions.
-    g(1) must equal 1, otherwise the table is rejected.
+    or trailing) are skipped.  Values are integers or p/q fractions; any
+    other line raises naming PATH:LINE.
     """
     values = []
     try:
@@ -97,15 +98,11 @@ def ingest_custom_g(path: str) -> ArithFn:
         if not text:
             continue
         try:
-            values.append(_ratio(Fraction(text)))
+            values.append(Fraction(text))
         except (ValueError, ZeroDivisionError):
             raise ValueError(
                 f"{path}:{lineno}: cannot parse {text!r} as an integer or p/q"
             ) from None
-    if not values:
-        raise ValueError(f"{path}: no values found")
-    if values[0] != 1:
-        raise ValueError(f"{path}: g(1) must be 1, got {values[0]}")
     digest = hashlib.sha256(
         "\n".join(str(v) for v in values).encode()
     ).hexdigest()[:12]

@@ -168,11 +168,14 @@ class _ColumnStream:
 
 def _column(tri, m: int, top: int):
     """_scan over column m of tri (a Triangle or a _ColumnStream) at centers
-    1..top, or to n_max - 1 where the column ends; if h = id, row n has the
-    scale n!, whose ratio weighs center n by (n+1, n)."""
-    col = _exact_entries(tri.column(m)[: max(top + 2, 0)], lambda n: (n, m))
-    weights = (lambda n: (n + 1, n)) if tri.h == "id" else None
-    return _scan(col, col[1:], col[2:], lambda n: (n, m), weights)
+    m..top, or to n_max - 1 where the column ends; if h = id, row n has the
+    scale n!, whose ratio weighs center n by (n+1, n).  The column is read
+    from row s = m - 1: above it a center and its left neighbor are zero,
+    so it can neither fail nor tie, and line entry i is row s + i."""
+    s = max(m - 1, 0)
+    col = _exact_entries(tri.column(m)[s : max(top + 2, 0)], lambda i: (s + i, m))
+    weights = (lambda i: (s + i + 1, s + i)) if tri.h == "id" else None
+    return _scan(col, col[1:], col[2:], lambda i: (s + i, m), weights)
 
 
 def _collect(report: ConcavityReport, hits, edge: int | None = None) -> None:

@@ -54,6 +54,14 @@ def test_custom_table_rejects_floats():
     assert arith.from_table([1, "1/2", Fraction(2, 3)]).values(3) == [0, 1, Fraction(1, 2), Fraction(2, 3)]
 
 
+def test_custom_table_values_are_made_exact():
+    vals = arith.from_table([1, Fraction(4, 2), "3/2", True]).values(4)
+    assert vals == [0, 1, 2, Fraction(3, 2), 1]
+    assert [type(v) for v in vals] == [int, int, int, Fraction, int]
+    with pytest.raises(ValueError, match=r"'custom:empty' has no values"):
+        arith.from_table([], "custom:empty")
+
+
 def test_domain_validation():
     s = arith.sigma()
     with pytest.raises(ValueError):

@@ -91,6 +91,18 @@ def test_custom_table_rejections(tmp_path):
         ingest_custom_g(str(empty))
 
 
+@pytest.mark.parametrize("name, text, says", [
+    ("bad.txt", "2\n3\n", "is not normalized: g(1) = 2, expected 1"),
+    ("empty.txt", "# nothing\n\n", "has no values"),
+], ids=["g1-is-2", "empty"])
+def test_custom_table_rules_exit_two_through_main(name, text, says, tmp_path, capsys):
+    (tmp_path / name).write_text(text)
+    argv = ["triangle", "--g", f"custom={tmp_path / name}", "--h", "one", "--n", "3"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and f"'custom:{name}'" in err and says in err
+
+
 def test_custom_table_missing_file_exits_two(tmp_path, capsys):
     missing = tmp_path / "absent.txt"
     code, out, err = run(capsys, "triangle", "--g", f"custom={missing}", "--h", "one", "--n", "3")

@@ -100,6 +100,20 @@ def test_no_failures_below_column_index():
     assert all(n >= m for n, m in report.failures)
 
 
+def test_column_scans_start_at_the_diagonal(monkeypatch):
+    # the rows above m - 1 hold zeros that can neither fail nor tie
+    firsts, gate = {}, concavity._exact_entries
+
+    def spy(line, at):
+        firsts.setdefault(at(0)[1], []).append(at(0))
+        return gate(line, at)
+
+    monkeypatch.setattr(concavity, "_exact_entries", spy)
+    vertical_check(build_triangle(arith.one(), "id", 12))
+    assert sorted(firsts) == list(range(1, 13))
+    assert all(labels == [(m - 1, m)] for m, labels in firsts.items())
+
+
 def test_window_top_exact():
     assert window_top(Fraction(3, 2), 4) == 5  # floor(81/16)
     assert window_top(Fraction(2), 10) == 1024
