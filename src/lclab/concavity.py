@@ -146,16 +146,16 @@ def _scan(left, center, right, at, weights=None):
 class _ColumnStream:
     """Columns of (g, h) to row n_max, read in increasing m without building
     the triangle: g, h, n_max, scale(n) and column(m), a new list, as on a
-    Triangle, but holding only the latest.  Only window_scan and the Stirling
-    scans pass m_last, their last column; it must be >= 1 (m_max = 0 fails)."""
+    Triangle, but holding only the latest.  m_last, the last column read, must be
+    >= 1 (m_max = 0 fails); it selects iter_columns's factored kernel, same columns."""
 
     scale = Triangle.scale
 
-    def __init__(self, g: ArithFn, h: str, n_max: int, m_last: int = 1):
-        if m_last < 1:
+    def __init__(self, g: ArithFn, h: str, n_max: int, m_last: int | None = None):
+        if m_last is not None and m_last < 1:
             raise ValueError("m_max must be >= 1 when given")
         self.g, self.h, self.n_max = g, h, n_max
-        self._columns = enumerate(iter_columns(g, h, n_max), 1)
+        self._columns = enumerate(iter_columns(g, h, n_max, m_last), 1)
         self._m, self._col = 0, [1] + [0] * n_max
 
     def column(self, m: int) -> list:
@@ -215,20 +215,21 @@ def horizontal_check(tri: Triangle, n_from: int = 1, n_to: int | None = None) ->
     )
     lo = max(n_from, 1)
 
-    def column(c):
-        return _exact_entries(tri.column(c)[lo : n_to + 1], lambda i: (lo + i, c))
+    def column(c):  # (s, rows s.. of column c): no scan reads above s, and it is zero there
+        s = max(lo, c - 1)
+        return s, _exact_entries(tri.column(c)[s : n_to + 1], lambda i: (s + i, c))
 
     # Each column is checked for negatives before the next is read.  For a
     # triangle the recursion builds, that finds the row-major-first negative
     # entry: if k is the first index with g(k) < 0, rows below k use only
     # g(1..k-1) and in row k only column 1 carries g(k), so it is (k, 1).
     # A hand-made Triangle, or n_from > 1, can name another negative entry.
-    left, center = column(0), column(1)
+    (a, left), (b, center) = column(0), column(1)
     for m in range(1, n_to + 1):
-        right, top = column(m + 1), max(lo, m) - lo
-        hits = _scan(left[top:], center[top:], right[top:], lambda i: (lo + top + i - 1, m))
+        c, right = column(m + 1)  # c = max(lo, m), the first center's row
+        hits = _scan(left[c - a :], center[c - b :], right, lambda i: (c + i - 1, m))
         _collect(report, hits)
-        left, center = center, right
+        (a, left), (b, center) = (b, center), (c, right)
     report.failures.sort()
     report.equalities.sort()
     return report
@@ -408,7 +409,7 @@ def hz_equivalence_check(m_max: int, n_max: int) -> CheckResult:
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     geo = _ColumnStream(tilde(sigma()), "one", n_max)
-    exp = _ColumnStream(sigma(), "id", n_max)
+    exp = _ColumnStream(sigma(), "id", n_max, m_max or None)  # m_max = 0 reads no column
 
     def cells():
         for m in range(1, m_max + 1):

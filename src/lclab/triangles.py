@@ -35,6 +35,15 @@ block, from row m-1 to n_max, and no division.  Each term is one product
 of a value of g with an entry, summed in C, and the weights grow an
 operand by at most _BLOCK log2 n bits.
 
+A caller that reads no column past m_last (iter_columns) keeps m far below
+n, where most of each B(j, m-1) = j! A(j, m-1) is row scale that a block's
+qb share.  For h = id each block then takes f, a divisor of its qb and of
+f' P, f' the previous block's f (1 at first): gcd(first qb, last qb, f' P),
+cut down to divide each entry it does not.  It packs qb / f and steps
+acc <- acc R + (its sum over qb / f), R = f' P / f an integer, so f acc is
+the acc above, by induction, and B(r, m) = f acc / W(r).  Full builds keep
+f = 1: their late columns share little, and the gcds cost more there.
+
 Those sums run in lanes: one sum serves the _LANES rows n .. n+_LANES-1
 of a lane group, n = m-1, m-1+_LANES, ...  A block's qb, x(j) for j in
 [s, e) and zero outside, is packed at a lane width of K bits,
@@ -255,17 +264,18 @@ def _check_family(h: str, n_max: int) -> None:
         raise ValueError("n_max must be >= 0")
 
 
-def iter_columns(g: ArithFn, h: str, n_max: int):
+def iter_columns(g: ArithFn, h: str, n_max: int, m_last: int | None = None):
     """Yield the stored columns m = 1..n_max of (g, h), each a new list of
     B(n, m) over n = 0..n_max: the one evaluation of the recursion, from the
     seed column [1, 0, ..., 0].  Arguments are checked, and g's values
-    fetched, on the call, not on the first next()."""
+    fetched, on the call, not on the first next().  m_last, the last column
+    the caller reads, selects the factored h = id kernel; columns are the same."""
     _check_family(h, n_max)
     dg, d = _integers(g.values(n_max))
-    return _columns(dg, d, h == "id", n_max)
+    return _columns(dg, d, h == "id", n_max, h == "id" and m_last is not None)
 
 
-def _columns(dg: list, d: int, weighted: bool, n_max: int):
+def _columns(dg: list, d: int, weighted: bool, n_max: int, factored: bool):
     """Columns of g = dg / d for an integer table dg: the kernel runs on dg,
     and column m is the integer vector col times a rational factor, 1 for
     d = 1.  For d > 1 each step divides the factor by d and moves the
@@ -273,7 +283,7 @@ def _columns(dg: list, d: int, weighted: bool, n_max: int):
     ones = all(v == 1 for v in dg[1:])  # never when d > 1, as dg[1] = d
     col, factor = [1] + [0] * n_max, Fraction(1)
     for m in range(1, n_max + 1):
-        col = _next_column(col, dg, weighted, ones, m)
+        col = _next_column(col, dg, weighted, ones, m, factored)
         if d == 1:
             yield col[:]  # the next step reads col
             continue
@@ -285,7 +295,9 @@ def _columns(dg: list, d: int, weighted: bool, n_max: int):
         yield [0] * m + [_ratio(b * fn, fd) for b in col[m:]]  # B(n, m) = 0 for n < m
 
 
-def _next_column(prev: list, gvals: list, weighted: bool, ones: bool, m: int) -> list:
+def _next_column(
+    prev: list, gvals: list, weighted: bool, ones: bool, m: int, factored: bool
+) -> list:
     """Column m from column m-1 (prev); ones says every value of g is 1.
     Otherwise it walks the blocks of the module docstring once, in order,
     and holds one block's packed sums at a time: each lane group at or
@@ -319,6 +331,7 @@ def _next_column(prev: list, gvals: list, weighted: bool, ones: bool, m: int) ->
     rg = [0] * _LANES + gvals[:0:-1]  # rg[_LANES + n_max - k] = g(k): 0 past n_max, none for k < 1
     gsum = sum(map(abs, gvals))
     col, step = [0] * (n_max + 1), _BLOCK if weighted else n_max + 1  # h = one: one block
+    f = 1  # factored: the accs of the rows past the blocks done are in units of f
     for s in range(m - 1, n_max + 1, step):  # the blocks [s, e)
         e = min(s + step, n_max + 1)
         qb, ws, p = prev[s:e], [], 1
@@ -327,6 +340,15 @@ def _next_column(prev: list, gvals: list, weighted: bool, ones: bool, m: int) ->
                 qb[j - s] *= p
                 p *= j or 1  # h(0) weighs no entry; 1 keeps W(0) nonzero at m = 1
                 ws.append(p)
+        if factored:  # f divides qb and f' p, f' the last block's f; p becomes R = f' p / f
+            f = math.gcd(qb[0], qb[-1], fp := f * p)
+            for i, x in enumerate(qb):
+                q, rem = divmod(x, f)
+                if rem:  # shrink f to divide x too, and rescale the quotients before x
+                    c = math.gcd(f, x)
+                    qb[:i], f, q = [y * (f // c) for y in qb[:i]], c, x // c
+                qb[i] = q
+            p = fp // f
         packed, width = _pack(qb, gsum)
         mask, half = (1 << width) - 1, 1 << (width - 1)
         shifts = range(0, _LANES * width, width)
@@ -337,7 +359,9 @@ def _next_column(prev: list, gvals: list, weighted: bool, ones: bool, m: int) ->
             col[n : n + _LANES] = [
                 acc * p + ((v >> t & mask) - half) for acc, t in zip(col[n : n + _LANES], shifts)
             ]
-        if weighted:  # B(r, m) = acc / W(r), exactly
+        if factored:  # B(r, m) = f acc / W(r), exactly
+            col[s:e] = [f * acc // w for acc, w in zip(col[s:e], reversed(ws))]
+        elif weighted:  # B(r, m) = acc / W(r), exactly
             col[s:e] = [acc // w for acc, w in zip(col[s:e], reversed(ws))]
     return col
 

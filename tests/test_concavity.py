@@ -681,6 +681,19 @@ def test_scans_reject_negative_entries():
         is_logconcave([1, -2, 1])
 
 
+@pytest.mark.parametrize("h", ["one", "id"])
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_horizontal_names_the_row_major_first_negative_entry(k, h):
+    # g(k) is the first negative value: rows below k hold no negative entry
+    # and in row k only column 1 carries g(k), so the first one is (k, 1),
+    # though later columns hold negative entries from row k + 1 on
+    values = [1] + [2] * (k - 2) + [-3] + [-1, 4] * 4
+    tri = build_triangle(arith.from_table(values), h, len(values))
+    assert any(b < 0 for b in tri.column(2)[k + 1 :])
+    with pytest.raises(ValueError, match=rf"entry \({k}, 1\) is negative"):
+        horizontal_check(tri)
+
+
 @pytest.mark.parametrize("bad", [0.5, Decimal("0.5")], ids=["float", "Decimal"])
 def test_scans_reject_inexact_entries(bad):
     # _scan is exact only on ints and Fractions, so every scan refuses the rest

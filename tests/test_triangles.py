@@ -289,6 +289,64 @@ def test_lane_kernel_matches_plain_horner(case, h):
     assert list(iter_columns(arith.from_table(values), h, n_max)) == horner_columns(values, h, n_max)
 
 
+# a caller's last column selects the h = id kernel that divides each block's
+# common factor out; sizes at and around block edges, up to four blocks
+FACTORED_SIZES = [K - 1, K, K + 1, 2 * K, 2 * K + 1, 4 * K + 1]
+FACTORED_TABLES = {
+    "sigma": lambda n: arith.sigma().values(n)[1:],
+    # nonzero at 1 and 5 only: blocks of column m-1 past row 5(m-1) are all zero
+    "sparse": lambda n: [1, 0, 0, 0, 2] + [0] * (n - 5),
+    # nonzero at 1, 50, 100: at n_max = 129 column 1's block from row 33
+    # starts and ends on zeros, and the one from row 65 is all zero
+    "sparse blocks": lambda n: [1] + [2 * (k % 50 == 0) for k in range(2, n + 1)],
+}
+
+
+@pytest.mark.parametrize("n_max", FACTORED_SIZES)
+@pytest.mark.parametrize("table", list(FACTORED_TABLES))
+def test_factored_kernel_matches_unbounded_stream_and_plain_horner(table, n_max):
+    values = FACTORED_TABLES[table](n_max)
+    g = arith.from_table(values)
+    plain = horner_columns(values, "id", n_max)
+    assert list(iter_columns(g, "id", n_max)) == plain
+    for m_last in (1, 2, 9):
+        assert list(iter_columns(g, "id", n_max, m_last)) == plain, m_last
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(FACTORED_SIZES).flatmap(
+    lambda n: st.tuples(st.just(n), kernel_table(n))), st.sampled_from([1, 2, 9]))
+@example((K + 1, [1] + [(-1) ** k * (k % 5) for k in range(2, K + 2)]), 2)
+@example((2 * K + 1, [Fraction(1)] + [Fraction(k % 3, 2) for k in range(2, 2 * K + 2)]), 9)
+@example((2 * K, [1] * (2 * K)), 1)
+def test_factored_kernel_on_signed_fraction_and_all_ones_tables(case, m_last):
+    n_max, values = case
+    g = arith.from_table(values)
+    factored = list(iter_columns(g, "id", n_max, m_last))
+    assert factored == list(iter_columns(g, "id", n_max)) == horner_columns(values, "id", n_max)
+
+
+def test_a_last_column_selects_the_factored_kernel(monkeypatch):
+    # the equality tests above pass on either kernel, so this pins that m_last
+    # reaches it: the row scale it divides out leaves far narrower lanes
+    pack = triangles._pack
+
+    def lane_bits(m_last):
+        widths = []
+
+        def recording(run, gsum):
+            packed, width = pack(run, gsum)
+            widths.append(width)
+            return packed, width
+
+        with monkeypatch.context() as patch:
+            patch.setattr(triangles, "_pack", recording)
+            list(islice(iter_columns(arith.sigma(), "id", 200, m_last), 5))
+        return sum(widths)
+
+    assert lane_bits(5) < lane_bits(None) / 2
+
+
 @given(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=40), st.integers(1, 10**6))
 def test_pack_forms_each_lane_sum_of_its_definition(run, gsum):
     # a wrong packing can send the kernel's entries growing without bound,
