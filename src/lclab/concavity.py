@@ -146,16 +146,13 @@ def _scan(left, center, right, at, weights=None):
 class _ColumnStream:
     """Columns of (g, h) to row n_max, read in increasing m without building
     the triangle: g, h, n_max, scale(n) and column(m), a new list, as on a
-    Triangle, but holding only the latest.  m_last, the last column read, must be
-    >= 1 (m_max = 0 fails); it selects iter_columns's factored kernel, same columns."""
+    Triangle, but holding only the latest."""
 
     scale = Triangle.scale
 
-    def __init__(self, g: ArithFn, h: str, n_max: int, m_last: int | None = None):
-        if m_last is not None and m_last < 1:
-            raise ValueError("m_max must be >= 1 when given")
+    def __init__(self, g: ArithFn, h: str, n_max: int):
         self.g, self.h, self.n_max = g, h, n_max
-        self._columns = enumerate(iter_columns(g, h, n_max, m_last), 1)
+        self._columns = enumerate(iter_columns(g, h, n_max), 1)
         self._m, self._col = 0, [1] + [0] * n_max
 
     def column(self, m: int) -> list:
@@ -335,15 +332,19 @@ def _window_rows(C, m_max: int) -> int:
 
 def window_scan(g: ArithFn, h: str, C, m_max: int, *, include_m1: bool = False) -> ConcavityReport:
     """c_vertical_check on the columns of (g, h), streamed just far enough."""
-    stream = _ColumnStream(g, h, _window_rows(C, m_max), m_max)
+    if m_max < 1:  # no column read: the scan would pass vacuously
+        raise ValueError("m_max must be >= 1")
+    stream = _ColumnStream(g, h, _window_rows(C, m_max))
     return c_vertical_check(stream, C, m_max, include_m1=include_m1)
 
 
-def _stirling_stream(n_limit: int, m_last: int) -> _ColumnStream:
+def _stirling_stream(n_limit: int, m_max: int) -> _ColumnStream:
     """The (one, id) columns to row n_limit + 1, for scans to center n_limit."""
     if n_limit < 0:
         raise ValueError("n_limit must be >= 0")
-    return _ColumnStream(one(), "id", n_limit + 1, m_last)
+    if m_max < 1:  # no column read: the scans would pass vacuously
+        raise ValueError("m_max must be >= 1")
+    return _ColumnStream(one(), "id", n_limit + 1)
 
 
 def stirling_column_first_failure(m: int, n_limit: int) -> int | None:
@@ -409,7 +410,7 @@ def hz_equivalence_check(m_max: int, n_max: int) -> CheckResult:
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     geo = _ColumnStream(tilde(sigma()), "one", n_max)
-    exp = _ColumnStream(sigma(), "id", n_max, m_max or None)  # m_max = 0 reads no column
+    exp = _ColumnStream(sigma(), "id", n_max)
 
     def cells():
         for m in range(1, m_max + 1):

@@ -35,14 +35,14 @@ block, from row m-1 to n_max, and no division.  Each term is one product
 of a value of g with an entry, summed in C, and the weights grow an
 operand by at most _BLOCK log2 n bits.
 
-A caller that reads no column past m_last (iter_columns) keeps m far below
-n, where most of each B(j, m-1) = j! A(j, m-1) is row scale that a block's
-qb share.  For h = id each block then takes f, a divisor of its qb and of
-f' P, f' the previous block's f (1 at first): gcd(first qb, last qb, f' P),
-cut down to divide each entry it does not.  It packs qb / f and steps
-acc <- acc R + (its sum over qb / f), R = f' P / f an integer, so f acc is
-the acc above, by induction, and B(r, m) = f acc / W(r).  Full builds keep
-f = 1: their late columns share little, and the gcds cost more there.
+For m far below n most of each B(j, m-1) = j! A(j, m-1) is row scale that
+a block's qb share.  So for h = id, if m _BLOCK <= n_max, each block takes
+f = gcd(first qb, last qb, f' P), f' the last block's f (1 at first), cut
+down to divide each qb, packs qb / f and steps acc <- acc R + (its sum
+over qb / f), R = f' P / f an integer, so f acc is the acc above and
+B(r, m) = f acc / W(r).  Per (sigma, id) column the time over f = 1 is
+0.56 at m <= 8, 0.94 at m 25-32, 1 from m 57 (n = 1025); 0.82 at m <= 8,
+1.09 at m 25-32 (n = 300); 1.03-1.08 at m 5-12 (n = 200).
 
 Those sums run in lanes: one sum serves the _LANES rows n .. n+_LANES-1
 of a lane group, n = m-1, m-1+_LANES, ...  A block's qb, x(j) for j in
@@ -264,18 +264,17 @@ def _check_family(h: str, n_max: int) -> None:
         raise ValueError("n_max must be >= 0")
 
 
-def iter_columns(g: ArithFn, h: str, n_max: int, m_last: int | None = None):
+def iter_columns(g: ArithFn, h: str, n_max: int):
     """Yield the stored columns m = 1..n_max of (g, h), each a new list of
     B(n, m) over n = 0..n_max: the one evaluation of the recursion, from the
     seed column [1, 0, ..., 0].  Arguments are checked, and g's values
-    fetched, on the call, not on the first next().  m_last, the last column
-    the caller reads, selects the factored h = id kernel; columns are the same."""
+    fetched, on the call, not on the first next()."""
     _check_family(h, n_max)
     dg, d = _integers(g.values(n_max))
-    return _columns(dg, d, h == "id", n_max, h == "id" and m_last is not None)
+    return _columns(dg, d, h == "id", n_max)
 
 
-def _columns(dg: list, d: int, weighted: bool, n_max: int, factored: bool):
+def _columns(dg: list, d: int, weighted: bool, n_max: int):
     """Columns of g = dg / d for an integer table dg: the kernel runs on dg,
     and column m is the integer vector col times a rational factor, 1 for
     d = 1.  For d > 1 each step divides the factor by d and moves the
@@ -283,7 +282,7 @@ def _columns(dg: list, d: int, weighted: bool, n_max: int, factored: bool):
     ones = all(v == 1 for v in dg[1:])  # never when d > 1, as dg[1] = d
     col, factor = [1] + [0] * n_max, Fraction(1)
     for m in range(1, n_max + 1):
-        col = _next_column(col, dg, weighted, ones, m, factored)
+        col = _next_column(col, dg, weighted, ones, m, weighted and m * _BLOCK <= n_max)
         if d == 1:
             yield col[:]  # the next step reads col
             continue

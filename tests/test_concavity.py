@@ -213,19 +213,17 @@ def test_stirling_scan_matches_triangle_scan():
 def test_column_stream_reads_like_the_triangle():
     g = arith.sigma()
     tri = build_triangle(g, "id", 12)
-    for stream in (_ColumnStream(g, "id", 12, 20), _ColumnStream(g, "id", 12)):
-        assert (stream.g, stream.h, stream.n_max) == (g, "id", 12)
-        for m in (0, 2, 2, 5, 12, 13, 20):  # gaps, a repeat, past the last row
-            assert stream.column(m) == tri.column(m)
-        with pytest.raises(ValueError, match="already passed"):
-            stream.column(11)
-    with pytest.raises(ValueError, match="m_max must be >= 1 when given"):
-        _ColumnStream(g, "id", 12, 0)
+    stream = _ColumnStream(g, "id", 12)
+    assert (stream.g, stream.h, stream.n_max) == (g, "id", 12)
+    for m in (0, 2, 2, 5, 12, 13, 20):  # gaps, a repeat, past the last row
+        assert stream.column(m) == tri.column(m)
+    with pytest.raises(ValueError, match="already passed"):
+        stream.column(11)
 
 
 def test_scans_with_a_last_column_reject_m_max_0():
-    # the streams of window_scan (hong_zhang_scan's too) and the Stirling
-    # scans carry their last column
+    # window_scan (hong_zhang_scan's too) and the Stirling scans read
+    # columns 1..m_max, none at m_max = 0, so they would pass vacuously
     for scan in (
         lambda: window_scan(arith.one(), "id", 2, 0),
         lambda: hong_zhang_scan(2, 0),
@@ -233,13 +231,13 @@ def test_scans_with_a_last_column_reject_m_max_0():
         lambda: stirling_column_first_failure(0, 5),
         lambda: stirling_column_failures(0, 5),
     ):
-        with pytest.raises(ValueError, match="m_max must be >= 1 when given"):
+        with pytest.raises(ValueError, match="m_max must be >= 1"):
             scan()
 
 
 def test_stream_columns_belong_to_the_caller():
     tri = build_triangle(arith.sigma(), "id", 12)
-    stream = _ColumnStream(arith.sigma(), "id", 12, 12)
+    stream = _ColumnStream(arith.sigma(), "id", 12)
     for m in range(1, 13):
         col = stream.column(m)
         assert col == tri.column(m)
@@ -450,7 +448,7 @@ SIGMA_ID_FIRST_FAILURES = [3, 6, 21, 39, 73, 135, 251, 475]
 
 
 def test_sigma_id_column_first_failures():
-    stream = _ColumnStream(arith.sigma(), "id", 481, 8)
+    stream = _ColumnStream(arith.sigma(), "id", 481)
     firsts = [first_vertical_failure(stream, m, 480) for m in range(1, 9)]
     assert firsts == SIGMA_ID_FIRST_FAILURES
 

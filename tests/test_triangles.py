@@ -289,8 +289,9 @@ def test_lane_kernel_matches_plain_horner(case, h):
     assert list(iter_columns(arith.from_table(values), h, n_max)) == horner_columns(values, h, n_max)
 
 
-# a caller's last column selects the h = id kernel that divides each block's
-# common factor out; sizes at and around block edges, up to four blocks
+# the h = id kernel that divides each block's common factor out, chained
+# over every column whatever the rule in _columns picks; sizes at and
+# around block edges, up to four blocks
 FACTORED_SIZES = [K - 1, K, K + 1, 2 * K, 2 * K + 1, 4 * K + 1]
 FACTORED_TABLES = {
     "sigma": lambda n: arith.sigma().values(n)[1:],
@@ -302,49 +303,66 @@ FACTORED_TABLES = {
 }
 
 
+def kernel_chain(ints, n_max, factored):
+    """Yield the columns m = 1..n_max of (g, id) for the integer table ints,
+    each from the last by _next_column on the factored or the unfactored
+    path; the block kernel even when every value is 1."""
+    gvals, col = [0] + ints, [1] + [0] * n_max
+    for m in range(1, n_max + 1):
+        col = triangles._next_column(col, gvals, True, False, m, factored)
+        yield col
+
+
+def assert_factored_kernel_matches(values, n_max):
+    ints = arith._integers(values)[0]  # the table the kernel runs on
+    factored, plain = (list(kernel_chain(ints, n_max, f)) for f in (True, False))
+    assert factored == plain == horner_columns(ints, "id", n_max)
+    assert list(iter_columns(arith.from_table(values), "id", n_max)) == horner_columns(
+        values, "id", n_max
+    )
+
+
 @pytest.mark.parametrize("n_max", FACTORED_SIZES)
 @pytest.mark.parametrize("table", list(FACTORED_TABLES))
 def test_factored_kernel_matches_unbounded_stream_and_plain_horner(table, n_max):
-    values = FACTORED_TABLES[table](n_max)
-    g = arith.from_table(values)
-    plain = horner_columns(values, "id", n_max)
-    assert list(iter_columns(g, "id", n_max)) == plain
-    for m_last in (1, 2, 9):
-        assert list(iter_columns(g, "id", n_max, m_last)) == plain, m_last
+    assert_factored_kernel_matches(FACTORED_TABLES[table](n_max), n_max)
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(FACTORED_SIZES).flatmap(
-    lambda n: st.tuples(st.just(n), kernel_table(n))), st.sampled_from([1, 2, 9]))
-@example((K + 1, [1] + [(-1) ** k * (k % 5) for k in range(2, K + 2)]), 2)
-@example((2 * K + 1, [Fraction(1)] + [Fraction(k % 3, 2) for k in range(2, 2 * K + 2)]), 9)
-@example((2 * K, [1] * (2 * K)), 1)
-def test_factored_kernel_on_signed_fraction_and_all_ones_tables(case, m_last):
+@given(st.sampled_from(FACTORED_SIZES).flatmap(lambda n: st.tuples(st.just(n), kernel_table(n))))
+@example((K + 1, [1] + [(-1) ** k * (k % 5) for k in range(2, K + 2)]))
+@example((2 * K + 1, [Fraction(1)] + [Fraction(k % 3, 2) for k in range(2, 2 * K + 2)]))
+@example((2 * K, [1] * (2 * K)))
+def test_factored_kernel_on_signed_fraction_and_all_ones_tables(case):
     n_max, values = case
-    g = arith.from_table(values)
-    factored = list(iter_columns(g, "id", n_max, m_last))
-    assert factored == list(iter_columns(g, "id", n_max)) == horner_columns(values, "id", n_max)
+    assert_factored_kernel_matches(values, n_max)
 
 
-def test_a_last_column_selects_the_factored_kernel(monkeypatch):
-    # the equality tests above pass on either kernel, so this pins that m_last
-    # reaches it: the row scale it divides out leaves far narrower lanes
-    pack = triangles._pack
+def test_early_columns_take_the_factored_kernel(monkeypatch):
+    # the equality tests above pass on either path, so this pins the rule:
+    # at n = 200 columns 1..6 have m _BLOCK <= 200, and the row scale the
+    # factor divides out leaves far narrower lanes; column 7 packs as before
+    pack, widths = triangles._pack, []
 
-    def lane_bits(m_last):
-        widths = []
+    def recording(run, gsum):
+        packed, width = pack(run, gsum)
+        widths.append(width)
+        return packed, width
 
-        def recording(run, gsum):
-            packed, width = pack(run, gsum)
-            widths.append(width)
-            return packed, width
-
+    def lane_bits(columns):  # the summed lane widths of columns 1..7
+        sums = []
         with monkeypatch.context() as patch:
             patch.setattr(triangles, "_pack", recording)
-            list(islice(iter_columns(arith.sigma(), "id", 200, m_last), 5))
-        return sum(widths)
+            for _ in range(7):
+                widths.clear()
+                next(columns)
+                sums.append(sum(widths))
+        return sums
 
-    assert lane_bits(5) < lane_bits(None) / 2
+    ruled = lane_bits(iter_columns(arith.sigma(), "id", 200))
+    plain = lane_bits(kernel_chain(arith.sigma().values(200)[1:], 200, False))
+    assert sum(ruled[:6]) < sum(plain[:6]) / 2
+    assert ruled[6] == plain[6]
 
 
 @given(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=40), st.integers(1, 10**6))
